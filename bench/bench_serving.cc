@@ -487,7 +487,8 @@ int RunDriver(size_t requests, size_t clients, size_t pipeline,
               "errors");
 
   for (const NetConfig* config : {&capacity, &overload}) {
-    // Warm-up primes worker selector clones and the branch predictors.
+    // Warm-up primes the shared pool's workspace buffers, the allocator
+    // and the branch predictors (each run builds a fresh server).
     NetConfig warm = *config;
     warm.requests = std::min<size_t>(config->requests / 10, 5000);
     warm.slo_ms = 0.0;

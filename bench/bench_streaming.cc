@@ -273,7 +273,8 @@ int Main(int argc, char** argv) {
     }
 
     for (const Spec& spec : specs) {
-      // Warm-up pass primes selector clones and metric registrations.
+      // Warm-up pass primes the pool threads' workspace buffers and the
+      // metric registrations (each run builds a fresh scorer).
       (void)RunWorkload(registry, spec.options,
                         MakeStreams(num_series, 2048, false), 64);
       const WorkloadResult r =

@@ -16,6 +16,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
     case StatusCode::kIoError:
       return "IoError";
     case StatusCode::kInternal:

@@ -19,6 +19,7 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kFailedPrecondition,
+  kResourceExhausted,  ///< A bounded resource (e.g. a queue) is full.
   kIoError,
   kInternal,
   kUnimplemented,
@@ -58,6 +59,9 @@ class [[nodiscard]] Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

@@ -702,9 +702,12 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainSelector(
       options.pruning.mode != PruningMode::kNone) {
     display_name += "+KDSelector";
   }
-  return std::make_unique<TrainedSelector>(std::move(backbone),
-                                           std::move(classifier), m,
-                                           display_name);
+  // Hand back a copy without the last batch's training-forward caches:
+  // inference never touches them, so they would stay resident for the
+  // selector's whole life.
+  const TrainedSelector trained(std::move(backbone), std::move(classifier), m,
+                                display_name);
+  return trained.Clone();
 }
 
 }  // namespace kdsel::core

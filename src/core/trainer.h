@@ -119,11 +119,11 @@ class TrainedSelector : public selectors::Selector {
   size_t input_length() const { return backbone_->input_length(); }
 
   /// Deep copy: rebuilds the architecture and copies every parameter and
-  /// state tensor. Forward passes cache activations inside the modules,
-  /// so a single TrainedSelector must not run Predict from two threads;
-  /// concurrent servers give each worker its own clone instead.
-  /// Int8 quantization carries over: a clone of a quantized selector
-  /// serves int8 (serve workers run on clones).
+  /// state tensor. Int8 quantization carries over: a clone of a
+  /// quantized selector serves bit-identical int8 results. Serving needs
+  /// no clone -- inference forwards write no module state, so any number
+  /// of threads may call Predict/Logits/Encode on one selector -- but
+  /// QuantizeInt8 calibrates a clone, never the (possibly shared) source.
   StatusOr<std::unique_ptr<TrainedSelector>> Clone() const;
 
   /// Post-training int8 quantization: clones this selector, runs an

@@ -464,9 +464,7 @@ void NetServer::ProcessLine(
                                                         want_scores,
                                                         trace_echo);
         } else if (response.status().code() ==
-                       StatusCode::kFailedPrecondition &&
-                   response.status().message().find("queue full") !=
-                       std::string::npos) {
+                   StatusCode::kResourceExhausted) {
           // Backpressure from the bounded submit queue is load shedding
           // by another door: same cheap reply, same counter, and no
           // latency sample (the request never ran).

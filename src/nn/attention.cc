@@ -14,16 +14,18 @@ LayerNorm::LayerNorm(size_t dim, double eps)
       gamma_("ln.gamma", Tensor::Full({dim}, 1.0f)),
       beta_("ln.beta", Tensor({dim})) {}
 
-Tensor LayerNorm::Forward(const Tensor& input, bool /*training*/) {
+Tensor LayerNorm::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() >= 2 && input.shape().back() == dim_);
   const size_t rows = input.size() / dim_;
   Tensor out;
   out.Resize(input.shape());  // Every element written below.
-  cached_xhat_.Resize(input.shape());
-  cached_inv_std_.assign(rows, 0.0f);
+  if (training) {
+    cached_xhat_.Resize(input.shape());
+    cached_inv_std_.assign(rows, 0.0f);
+  }
   for (size_t r = 0; r < rows; ++r) {
     const float* x = input.raw() + r * dim_;
-    float* xh = cached_xhat_.raw() + r * dim_;
+    float* xh = training ? cached_xhat_.raw() + r * dim_ : nullptr;
     float* o = out.raw() + r * dim_;
     double mean = 0.0;
     for (size_t j = 0; j < dim_; ++j) mean += x[j];
@@ -35,10 +37,11 @@ Tensor LayerNorm::Forward(const Tensor& input, bool /*training*/) {
     }
     var /= static_cast<double>(dim_);
     const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    cached_inv_std_[r] = inv_std;
+    if (training) cached_inv_std_[r] = inv_std;
     for (size_t j = 0; j < dim_; ++j) {
-      xh[j] = static_cast<float>((x[j] - mean) * inv_std);
-      o[j] = gamma_.value[j] * xh[j] + beta_.value[j];
+      const float v = static_cast<float>((x[j] - mean) * inv_std);
+      if (xh != nullptr) xh[j] = v;
+      o[j] = gamma_.value[j] * v + beta_.value[j];
     }
   }
   return out;
@@ -92,23 +95,25 @@ std::vector<Parameter*> MultiHeadSelfAttention::Parameters() {
   return {&wq_, &wk_, &wv_, &wo_};
 }
 
-void MultiHeadSelfAttention::AttentionCore(size_t B, size_t T) {
+void MultiHeadSelfAttention::AttentionCore(const Tensor& q, const Tensor& k,
+                                           const Tensor& v, Tensor* attn_out,
+                                           Tensor* concat) const {
+  const size_t B = q.dim(0), T = q.dim(1);
   const kernels::Ops& ops = kernels::Dispatch();
-  cached_attn_.Resize({B, num_heads_, T, T});  // Every row softmaxed below.
-  cached_concat_ = Tensor({B, T, dim_});       // Accumulated into: zero-init.
+  attn_out->Resize({B, num_heads_, T, T});  // Every row softmaxed below.
+  *concat = Tensor({B, T, dim_});           // Accumulated into: zero-init.
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   for (size_t b = 0; b < B; ++b) {
     for (size_t h = 0; h < num_heads_; ++h) {
       const size_t off = h * head_dim_;
-      float* attn =
-          cached_attn_.raw() + ((b * num_heads_ + h) * T) * T;
+      float* attn = attn_out->raw() + ((b * num_heads_ + h) * T) * T;
       // scores[i][j] = scale * q_i . k_j ; then softmax rows.
       for (size_t i = 0; i < T; ++i) {
-        const float* qi = cached_q_.raw() + (b * T + i) * dim_ + off;
+        const float* qi = q.raw() + (b * T + i) * dim_ + off;
         float* srow = attn + i * T;
         for (size_t j = 0; j < T; ++j) {
-          const float* kj = cached_k_.raw() + (b * T + j) * dim_ + off;
+          const float* kj = k.raw() + (b * T + j) * dim_ + off;
           srow[j] = ops.dot(qi, kj, head_dim_) * scale;
         }
         ops.softmax_row(srow, srow, T);
@@ -116,9 +121,9 @@ void MultiHeadSelfAttention::AttentionCore(size_t B, size_t T) {
       // concat output rows: out_i = sum_j attn[i][j] * v_j
       for (size_t i = 0; i < T; ++i) {
         const float* arow = attn + i * T;
-        float* orow = cached_concat_.raw() + (b * T + i) * dim_ + off;
+        float* orow = concat->raw() + (b * T + i) * dim_ + off;
         for (size_t j = 0; j < T; ++j) {
-          const float* vj = cached_v_.raw() + (b * T + j) * dim_ + off;
+          const float* vj = v.raw() + (b * T + j) * dim_ + off;
           ops.axpy(orow, arow[j], vj, head_dim_);
         }
       }
@@ -129,27 +134,34 @@ void MultiHeadSelfAttention::AttentionCore(size_t B, size_t T) {
 Tensor MultiHeadSelfAttention::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3 && input.dim(2) == dim_);
   if (!training && !calibrating_ && quantized_) return ForwardInt8(input);
-  cached_input_ = input;
   const size_t B = input.dim(0), T = input.dim(1);
   Tensor flat = input.Reshaped({B * T, dim_});
   if (calibrating_ && !training) {
     in_absmax_ = std::max(in_absmax_, AbsMax(flat.raw(), flat.size()));
   }
-  cached_q_ = MatMulTransposedB(flat, wq_.value).Reshaped({B, T, dim_});
-  cached_k_ = MatMulTransposedB(flat, wk_.value).Reshaped({B, T, dim_});
-  cached_v_ = MatMulTransposedB(flat, wv_.value).Reshaped({B, T, dim_});
+  Tensor q = MatMulTransposedB(flat, wq_.value).Reshaped({B, T, dim_});
+  Tensor k = MatMulTransposedB(flat, wk_.value).Reshaped({B, T, dim_});
+  Tensor v = MatMulTransposedB(flat, wv_.value).Reshaped({B, T, dim_});
 
-  AttentionCore(B, T);
+  Tensor attn, concat;
+  AttentionCore(q, k, v, &attn, &concat);
   if (calibrating_ && !training) {
-    concat_absmax_ = std::max(
-        concat_absmax_, AbsMax(cached_concat_.raw(), cached_concat_.size()));
+    concat_absmax_ =
+        std::max(concat_absmax_, AbsMax(concat.raw(), concat.size()));
   }
-  Tensor out = MatMulTransposedB(cached_concat_.Reshaped({B * T, dim_}),
-                                 wo_.value);
+  Tensor out = MatMulTransposedB(concat.Reshaped({B * T, dim_}), wo_.value);
+  if (training) {
+    cached_input_ = input;
+    cached_q_ = std::move(q);
+    cached_k_ = std::move(k);
+    cached_v_ = std::move(v);
+    cached_attn_ = std::move(attn);
+    cached_concat_ = std::move(concat);
+  }
   return out.Reshaped({B, T, dim_});
 }
 
-Tensor MultiHeadSelfAttention::ForwardInt8(const Tensor& input) {
+Tensor MultiHeadSelfAttention::ForwardInt8(const Tensor& input) const {
   const size_t B = input.dim(0), T = input.dim(1);
   const size_t rows = B * T;
   const kernels::Ops& ops = kernels::Dispatch();
@@ -157,22 +169,23 @@ Tensor MultiHeadSelfAttention::ForwardInt8(const Tensor& input) {
   ScratchBuffer iq_buf((rows * dim_ + 3) / 4);
   int8_t* iq = reinterpret_cast<int8_t*>(iq_buf.data());
   ops.i8_quantize(input.raw(), 1.0f / in_scale_, iq, rows * dim_);
-  cached_q_.Resize({B, T, dim_});
-  cached_k_.Resize({B, T, dim_});
-  cached_v_.Resize({B, T, dim_});
-  I8MatMulTbParallel(iq, wq_q_.data(), cached_q_.raw(), rows, dim_, dim_,
-                     rq_q_.data(), nullptr);
-  I8MatMulTbParallel(iq, wk_q_.data(), cached_k_.raw(), rows, dim_, dim_,
-                     rq_k_.data(), nullptr);
-  I8MatMulTbParallel(iq, wv_q_.data(), cached_v_.raw(), rows, dim_, dim_,
-                     rq_v_.data(), nullptr);
+  Tensor q, k, v;
+  q.Resize({B, T, dim_});
+  k.Resize({B, T, dim_});
+  v.Resize({B, T, dim_});
+  I8MatMulTbParallel(iq, wq_q_.data(), q.raw(), rows, dim_, dim_, rq_q_.data(),
+                     nullptr);
+  I8MatMulTbParallel(iq, wk_q_.data(), k.raw(), rows, dim_, dim_, rq_k_.data(),
+                     nullptr);
+  I8MatMulTbParallel(iq, wv_q_.data(), v.raw(), rows, dim_, dim_, rq_v_.data(),
+                     nullptr);
 
-  AttentionCore(B, T);
+  Tensor attn, concat;
+  AttentionCore(q, k, v, &attn, &concat);
 
   ScratchBuffer cq_buf((rows * dim_ + 3) / 4);
   int8_t* cq = reinterpret_cast<int8_t*>(cq_buf.data());
-  ops.i8_quantize(cached_concat_.raw(), 1.0f / concat_scale_, cq,
-                  rows * dim_);
+  ops.i8_quantize(concat.raw(), 1.0f / concat_scale_, cq, rows * dim_);
   Tensor out;
   out.Resize({B, T, dim_});
   I8MatMulTbParallel(cq, wo_q_.data(), out.raw(), rows, dim_, dim_,
@@ -327,7 +340,7 @@ std::vector<Parameter*> TransformerEncoderBlock::Parameters() {
 
 Tensor TransformerEncoderBlock::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3 && input.dim(2) == dim_);
-  cached_shape_ = input.shape();
+  if (training) cached_shape_ = input.shape();
   const size_t B = input.dim(0), T = input.dim(1);
 
   // Attention sublayer with residual.

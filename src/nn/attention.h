@@ -54,16 +54,18 @@ class MultiHeadSelfAttention : public Module, public Quantizable {
   bool IsQuantized() const override { return quantized_; }
 
  private:
-  /// Shared fp32 attention core: fills cached_attn_ / cached_concat_
-  /// from cached_q_/k_/v_ (both the fp32 and int8 paths run this).
-  void AttentionCore(size_t B, size_t T);
-  Tensor ForwardInt8(const Tensor& input);
+  /// Shared fp32 attention core over [B, T, D] projections: writes the
+  /// softmaxed scores [B, H, T, T] to `attn_out` and the per-head
+  /// outputs [B, T, D] to `concat` (the fp32 and int8 paths both run it).
+  void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
+                     Tensor* attn_out, Tensor* concat) const;
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t dim_;
   size_t num_heads_;
   size_t head_dim_;
   Parameter wq_, wk_, wv_, wo_;  // each [D, D]
-  // Forward caches.
+  // Training-forward caches.
   Tensor cached_input_;                 // [B, T, D]
   Tensor cached_q_, cached_k_, cached_v_;  // [B, T, D]
   Tensor cached_attn_;                  // [B, H, T, T] softmaxed

@@ -46,14 +46,13 @@ std::vector<Parameter*> Conv1d::Parameters() {
 Tensor Conv1d::Forward(const Tensor& input, bool training) {
   KDSEL_SPAN("nn.conv1d.forward");
   KDSEL_CHECK(input.rank() == 3 && input.dim(1) == in_channels_);
-  if (!training) {
-    if (calibrating_) {
-      act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-    } else if (quantized_) {
-      return ForwardInt8(input);
-    }
+  if (training) {
+    cached_input_ = input;
+  } else if (calibrating_) {
+    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
+  } else if (quantized_) {
+    return ForwardInt8(input);
   }
-  cached_input_ = input;
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
   const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
@@ -93,7 +92,7 @@ Tensor Conv1d::Forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Conv1d::ForwardInt8(const Tensor& input) {
+Tensor Conv1d::ForwardInt8(const Tensor& input) const {
   KDSEL_SPAN("nn.conv1d.forward_int8");
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
@@ -275,13 +274,13 @@ Tensor BatchNorm1d::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(C == num_features_);
   const size_t L = has_length ? input.dim(2) : 1;
   const size_t n = B * L;
-  cached_shape_ = input.shape();
 
-  mean_scratch_.assign(C, 0.0);
-  var_scratch_.assign(C, 0.0);
-  std::vector<double>& mean = mean_scratch_;
-  std::vector<double>& var = var_scratch_;
   if (training) {
+    cached_shape_ = input.shape();
+    mean_scratch_.assign(C, 0.0);
+    var_scratch_.assign(C, 0.0);
+    std::vector<double>& mean = mean_scratch_;
+    std::vector<double>& var = var_scratch_;
     for (size_t b = 0; b < B; ++b) {
       for (size_t c = 0; c < C; ++c) {
         const float* row = input.raw() + (b * C + c) * L;
@@ -309,35 +308,32 @@ Tensor BatchNorm1d::Forward(const Tensor& input, bool training) {
       running_var_[c] = static_cast<float>(
           (1 - momentum_) * running_var_[c] + momentum_ * var[c]);
     }
-  } else {
+    cached_inv_std_.assign(C, 0.0);
     for (size_t c = 0; c < C; ++c) {
-      mean[c] = running_mean_[c];
-      var[c] = running_var_[c];
+      cached_inv_std_[c] = 1.0 / std::sqrt(var[c] + eps_);
     }
+    cached_xhat_.Resize(input.shape());
   }
 
-  cached_inv_std_.assign(C, 0.0);
-  for (size_t c = 0; c < C; ++c) {
-    cached_inv_std_[c] = 1.0 / std::sqrt(var[c] + eps_);
-  }
-
+  // Inference normalizes with the running statistics and keeps no xhat.
   Tensor out;
   out.Resize(input.shape());  // Every element written below.
-  cached_xhat_.Resize(input.shape());
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* row = input.raw() + (b * C + c) * L;
-      float* xh = cached_xhat_.raw() + (b * C + c) * L;
+      float* xh = training ? cached_xhat_.raw() + (b * C + c) * L : nullptr;
       float* o = out.raw() + (b * C + c) * L;
       const float g = gamma_.value[c], bb = beta_.value[c];
-      const double m = mean[c], is = cached_inv_std_[c];
+      const double m = training ? mean_scratch_[c] : running_mean_[c];
+      const double is = training ? cached_inv_std_[c]
+                                 : 1.0 / std::sqrt(running_var_[c] + eps_);
       for (size_t t = 0; t < L; ++t) {
-        xh[t] = static_cast<float>((row[t] - m) * is);
-        o[t] = g * xh[t] + bb;
+        const float v = static_cast<float>((row[t] - m) * is);
+        if (xh != nullptr) xh[t] = v;
+        o[t] = g * v + bb;
       }
     }
   }
-  if (!training) cached_xhat_ = Tensor();  // No backward at inference.
   return out;
 }
 
@@ -394,9 +390,9 @@ Tensor BatchNorm1d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor GlobalAvgPool1d::Forward(const Tensor& input, bool /*training*/) {
+Tensor GlobalAvgPool1d::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3);
-  cached_shape_ = input.shape();
+  if (training) cached_shape_ = input.shape();
   const size_t B = input.dim(0), C = input.dim(1), L = input.dim(2);
   Tensor out({B, C});
   const float inv = 1.0f / static_cast<float>(L);
@@ -428,17 +424,19 @@ Tensor GlobalAvgPool1d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor MaxPool1dSame::Forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool1dSame::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 3);
-  cached_input_ = input;
   const size_t B = input.dim(0), C = input.dim(1), L = input.dim(2);
   Tensor out(input.shape());
-  argmax_.assign(B * C * L, 0);
+  if (training) {
+    cached_input_ = input;
+    argmax_.assign(B * C * L, 0);
+  }
   for (size_t b = 0; b < B; ++b) {
     for (size_t c = 0; c < C; ++c) {
       const float* row = input.raw() + (b * C + c) * L;
       float* orow = out.raw() + (b * C + c) * L;
-      int32_t* arow = argmax_.data() + (b * C + c) * L;
+      int32_t* arow = training ? argmax_.data() + (b * C + c) * L : nullptr;
       for (size_t t = 0; t < L; ++t) {
         size_t lo = t > 0 ? t - 1 : 0;
         size_t hi = std::min(L - 1, t + 1);
@@ -447,7 +445,7 @@ Tensor MaxPool1dSame::Forward(const Tensor& input, bool /*training*/) {
           if (row[u] > row[best]) best = u;
         }
         orow[t] = row[best];
-        arow[t] = static_cast<int32_t>(best);
+        if (arow != nullptr) arow[t] = static_cast<int32_t>(best);
       }
     }
   }

@@ -39,7 +39,7 @@ class Conv1d : public Module, public Quantizable {
   size_t kernel_size() const { return kernel_size_; }
 
  private:
-  Tensor ForwardInt8(const Tensor& input);
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t in_channels_;
   size_t out_channels_;

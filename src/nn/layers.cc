@@ -18,14 +18,13 @@ Linear::Linear(size_t in_features, size_t out_features, Rng& rng)
 
 Tensor Linear::Forward(const Tensor& input, bool training) {
   KDSEL_CHECK(input.rank() == 2 && input.dim(1) == in_features_);
-  if (!training) {
-    if (calibrating_) {
-      act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-    } else if (quantized_) {
-      return ForwardInt8(input);
-    }
+  if (training) {
+    cached_input_ = input;
+  } else if (calibrating_) {
+    act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
+  } else if (quantized_) {
+    return ForwardInt8(input);
   }
-  cached_input_ = input;
   Tensor out = MatMulTransposedB(input, weight_.value);  // [B, out]
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = out.dim(0);
@@ -35,7 +34,7 @@ Tensor Linear::Forward(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Linear::ForwardInt8(const Tensor& input) {
+Tensor Linear::ForwardInt8(const Tensor& input) const {
   const kernels::Ops& ops = kernels::Dispatch();
   const size_t b = input.dim(0);
   // Pool-backed int8 scratch for the quantized activations (the pool
@@ -101,10 +100,10 @@ Tensor Linear::Backward(const Tensor& grad_output) {
   return MatMul(grad_output, weight_.value);  // [B, in]
 }
 
-Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
+Tensor ReLU::Forward(const Tensor& input, bool training) {
   Tensor out = input;
   for (float& v : out.mutable_data()) v = v > 0 ? v : 0.0f;
-  cached_output_ = out;
+  if (training) cached_output_ = out;
   return out;
 }
 
@@ -123,8 +122,8 @@ namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 }
 
-Tensor Gelu::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
+Tensor Gelu::Forward(const Tensor& input, bool training) {
+  if (training) cached_input_ = input;
   Tensor out = input;
   for (float& v : out.mutable_data()) {
     float x = v;
@@ -156,7 +155,8 @@ Dropout::Dropout(double rate, Rng& rng) : rate_(rate), rng_(rng.Fork()) {
 }
 
 Tensor Dropout::Forward(const Tensor& input, bool training) {
-  last_training_ = training && rate_ > 0.0;
+  if (!training) return input;
+  last_training_ = rate_ > 0.0;
   if (!last_training_) return input;
   mask_ = Tensor(input.shape());
   const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));

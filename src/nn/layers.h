@@ -35,7 +35,7 @@ class Linear : public Module, public Quantizable {
   size_t out_features() const { return out_features_; }
 
  private:
-  Tensor ForwardInt8(const Tensor& input);
+  Tensor ForwardInt8(const Tensor& input) const;
 
   size_t in_features_;
   size_t out_features_;

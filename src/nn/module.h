@@ -27,11 +27,19 @@ struct Parameter {
 
 /// Base class for all NN layers/blocks.
 ///
-/// Contract: `Forward` consumes a batch and caches whatever `Backward`
-/// needs; `Backward` consumes dL/d(output) and returns dL/d(input),
-/// accumulating parameter gradients into `Parameter::grad` (so callers
-/// must zero gradients between steps, normally via the optimizer).
-/// A module's Backward must be called at most once per Forward.
+/// Contract: `Forward(x, /*training=*/true)` consumes a batch and caches
+/// whatever `Backward` needs; `Backward` consumes dL/d(output) and
+/// returns dL/d(input), accumulating parameter gradients into
+/// `Parameter::grad` (so callers must zero gradients between steps,
+/// normally via the optimizer). A module's Backward must be called at
+/// most once per training Forward.
+///
+/// `Forward(x, /*training=*/false)` is inference: it reads parameters
+/// and running statistics and writes no member state, so any number of
+/// threads may run it on one module at once. The one exception is an
+/// int8 calibration sweep (nn/quantize.h), which records activation
+/// ranges into the layers; it only runs on the private copy
+/// `TrainedSelector::QuantizeInt8` makes before anything can share it.
 class Module {
  public:
   virtual ~Module() = default;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <thread>
 #include <utility>
 
 namespace kdsel::obs {
@@ -81,8 +82,12 @@ std::string PrometheusName(const std::string& name) {
 
 }  // namespace
 
-Histogram::Histogram() : min_(std::numeric_limits<double>::infinity()) {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+Histogram::Histogram() {
+  for (Bank& bank : banks_) {
+    for (auto& b : bank.buckets) b.store(0, std::memory_order_relaxed);
+  }
+  end_epoch_[0].store(0);
+  end_epoch_[1].store(kPhaseBit);
 }
 
 size_t Histogram::BucketIndex(double value) {
@@ -100,102 +105,96 @@ double Histogram::BucketLowerBound(size_t index) {
 
 void Histogram::Record(double value) {
   if (!(value >= 0.0)) value = 0.0;  // Also catches NaN.
-  const uint64_t seq = reset_seq_.load(std::memory_order_seq_cst);
-  // Count first, bucket second, both seq_cst: any bucket tick a reader
-  // observes has its count tick earlier in the single total order, so
-  // Summarize (buckets before count) can never see samples > count.
-  count_.fetch_add(1, std::memory_order_seq_cst);
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_seq_cst);
-  AtomicAdd(sum_, value);
-  AtomicMin(min_, value);
-  AtomicMax(max_, value);
-  if (reset_seq_.load(std::memory_order_seq_cst) != seq) {
-    // A Reset() ran while this sample was being published. Its wipe may
-    // have erased the count tick but kept the bucket tick (the wipes of
-    // the two locations are not atomic together); re-publishing the
-    // count tick restores count >= samples. If the original tick
-    // survived, this sample is counted once extra — documented, and
-    // harmless for stats.
-    count_.fetch_add(1, std::memory_order_seq_cst);
-  }
+  // Entering names the bank; leaving tells a draining reader that this
+  // sample is complete in it. The two epoch RMWs order the bank updates
+  // between them against the reader that folds the bank in.
+  const size_t phase = start_epoch_.fetch_add(1) >> 63;
+  Bank& bank = banks_[phase];
+  bank.buckets[BucketIndex(value)].fetch_add(1);
+  AtomicAdd(bank.sum, value);
+  AtomicMin(bank.min, value);
+  AtomicMax(bank.max, value);
+  end_epoch_[phase].fetch_add(1);
 }
 
-Histogram::BucketSnapshot Histogram::Snapshot() const {
-  for (;;) {
-    const uint64_t seq_before = reset_seq_.load(std::memory_order_seq_cst);
-    if (seq_before & 1) continue;  // A wipe is in progress; retry.
+void Histogram::Drain() const KDSEL_REQUIRES(read_mu_) {
+  // Only readers flip, and they hold read_mu_, so the phase is stable.
+  const size_t retired = start_epoch_.load() >> 63;
+  const uint64_t next_start = retired == 0 ? kPhaseBit : 0;
+  // The next phase's records finish against its start value; the
+  // previous flip already waited out the records that last used it.
+  end_epoch_[retired ^ 1].store(next_start);
+  const uint64_t entered = start_epoch_.exchange(next_start);
+  // Wait for the records that entered the retired phase to leave it.
+  while (end_epoch_[retired].load() != entered) std::this_thread::yield();
 
-    BucketSnapshot snapshot;
-    snapshot.samples = 0;
-    for (size_t i = 0; i < kBuckets; ++i) {
-      snapshot.counts[i] = buckets_[i].load(std::memory_order_seq_cst);
-      snapshot.samples += snapshot.counts[i];
-    }
-    // Count is read after every bucket; clamping covers the transient
-    // window where a record straddling a reset has published its bucket
-    // tick but not yet re-published its wiped count tick.
-    snapshot.count =
-        std::max(count_.load(std::memory_order_seq_cst), snapshot.samples);
-    snapshot.sum = sum_.load(std::memory_order_relaxed);
-    snapshot.min = min_.load(std::memory_order_relaxed);
-    snapshot.max = max_.load(std::memory_order_relaxed);
-    if (reset_seq_.load(std::memory_order_seq_cst) != seq_before) {
-      continue;  // A reset overlapped the snapshot; retry.
-    }
-    return snapshot;
+  // The retired bank is quiescent until a later flip reactivates it;
+  // that flip's exchange publishes the zeroing below to its records.
+  Bank& bank = banks_[retired];
+  for (size_t i = 0; i < kBuckets; ++i) {
+    const uint64_t n = bank.buckets[i].load();
+    if (n == 0) continue;
+    bank.buckets[i].store(0);
+    totals_.counts[i] += n;
+    totals_.samples += n;
   }
+  totals_.sum += bank.sum.exchange(0.0);
+  totals_.min = std::min(
+      totals_.min, bank.min.exchange(std::numeric_limits<double>::infinity()));
+  totals_.max = std::max(totals_.max, bank.max.exchange(0.0));
 }
 
-double Histogram::PercentileFrom(const BucketSnapshot& snapshot, double q) {
-  if (snapshot.samples == 0) return 0.0;
+double Histogram::PercentileFrom(const Totals& totals, double q) {
+  if (totals.samples == 0) return 0.0;
   const uint64_t target = static_cast<uint64_t>(
-      std::ceil(q * static_cast<double>(snapshot.samples)));
+      std::ceil(q * static_cast<double>(totals.samples)));
   uint64_t seen = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
-    seen += snapshot.counts[i];
-    if (seen >= target && snapshot.counts[i] > 0) {
+    seen += totals.counts[i];
+    if (seen >= target && totals.counts[i] > 0) {
       // Geometric midpoint of the bucket, clamped to observed range.
       const double lo = BucketLowerBound(i);
       const double hi = BucketLowerBound(i + 1);
       const double mid = std::sqrt(std::max(lo, 0.5) * hi);
-      return std::min(std::max(mid, snapshot.min), snapshot.max);
+      return std::min(std::max(mid, totals.min), totals.max);
     }
   }
-  return snapshot.max;
+  return totals.max;
 }
 
 Histogram::Summary Histogram::Summarize() const {
-  const BucketSnapshot snapshot = Snapshot();
+  std::lock_guard<std::mutex> lock(read_mu_);
+  Drain();
   Summary s;
-  s.samples = snapshot.samples;
-  s.count = snapshot.count;
-  if (snapshot.samples == 0) return s;
-  s.min = snapshot.min;
-  s.max = snapshot.max;
-  s.mean = snapshot.sum / static_cast<double>(snapshot.samples);
-  s.p50 = PercentileFrom(snapshot, 0.50);
-  s.p95 = PercentileFrom(snapshot, 0.95);
-  s.p99 = PercentileFrom(snapshot, 0.99);
-  s.p999 = PercentileFrom(snapshot, 0.999);
+  s.samples = totals_.samples;
+  s.count = totals_.samples;
+  if (totals_.samples == 0) return s;
+  s.min = totals_.min;
+  s.max = totals_.max;
+  s.mean = totals_.sum / static_cast<double>(totals_.samples);
+  s.p50 = PercentileFrom(totals_, 0.50);
+  s.p95 = PercentileFrom(totals_, 0.95);
+  s.p99 = PercentileFrom(totals_, 0.99);
+  s.p999 = PercentileFrom(totals_, 0.999);
   return s;
 }
 
 double Histogram::Percentile(double q) const {
-  return PercentileFrom(Snapshot(), q);
+  std::lock_guard<std::mutex> lock(read_mu_);
+  Drain();
+  return PercentileFrom(totals_, q);
 }
 
-uint64_t Histogram::SampleCount() const { return Snapshot().samples; }
+uint64_t Histogram::SampleCount() const {
+  std::lock_guard<std::mutex> lock(read_mu_);
+  Drain();
+  return totals_.samples;
+}
 
 void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(reset_mu_);
-  reset_seq_.fetch_add(1, std::memory_order_seq_cst);  // -> odd: wiping
-  count_.store(0, std::memory_order_seq_cst);
-  for (auto& b : buckets_) b.store(0, std::memory_order_seq_cst);
-  sum_.store(0.0, std::memory_order_seq_cst);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_seq_cst);
-  max_.store(0.0, std::memory_order_seq_cst);
-  reset_seq_.fetch_add(1, std::memory_order_seq_cst);  // -> even: stable
+  std::lock_guard<std::mutex> lock(read_mu_);
+  Drain();
+  totals_ = Totals{};
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,26 +44,27 @@ class Gauge {
 /// layer still records microseconds into it, but the buckets are
 /// unit-agnostic).
 ///
-/// Record() is wait-free (a few uncontended atomic RMWs per sample plus
-/// CAS loops for min/max), so hot paths never contend on a stats lock.
 /// Buckets grow by 2^(1/4) per step, bounding the relative quantile
 /// error at ~19% — plenty for p50/p95/p99 dashboards.
 ///
-/// Reset() semantics vs concurrent Record()/Summarize():
-///   * Reset() bumps a seqlock generation (odd while the wipe is in
-///     progress); Summarize() retries until it reads a stable, even
-///     generation on both sides of its snapshot, so a summary is never
-///     computed from a half-wiped histogram (no mixing of pre- and
-///     post-reset buckets).
-///   * A Record() that straddles a Reset() publishes its count tick
-///     before its bucket tick (both seq_cst) and re-publishes the count
-///     tick when it detects a generation change, so the invariant
-///     `Summary::count >= Summary::samples` always holds; such a
-///     straddling sample may be dropped entirely or counted once extra
-///     in `count`, never under-counted. Summarize() additionally clamps
-///     `count` up to `samples` to cover the instant between a surviving
-///     bucket tick and its in-flight count re-publish.
-///   * In quiescence (no reset racing a record) `count == samples`.
+/// Record() is wait-free with respect to readers, so hot paths never
+/// contend on a stats lock: it enters the current phase with one atomic
+/// increment, adds the sample to that phase's bank (bucket tick, then
+/// CAS loops for sum, min and max that only other records can make
+/// retry), and leaves with another increment.
+/// Readers (Summarize, Percentile, SampleCount, Reset) serialize on a
+/// mutex and flip the phase; new records then go to the other bank,
+/// and the reader waits only for the records still writing the old
+/// bank before it folds that bank into its running totals. (This is
+/// the writer/reader phaser of HdrHistogram's Recorder.) Guarantees:
+///   * Every summary describes exactly the set of records it counts:
+///     each sample in `samples` is in `sum`, `min` and `max`, and no
+///     other sample is, so `min <= mean <= max` always holds and
+///     `count == samples`.
+///   * A Record() that returned before a read began is in that read; one
+///     running concurrently with it is in that read or the next.
+///   * Reset() drops every record that returned before it began; one
+///     running concurrently with it may survive into the next period.
 class Histogram {
  public:
   Histogram();
@@ -71,7 +73,7 @@ class Histogram {
   void Record(double value);
 
   struct Summary {
-    uint64_t count = 0;    ///< Authoritative sample count (>= samples).
+    uint64_t count = 0;    ///< Samples recorded (equal to `samples`).
     uint64_t samples = 0;  ///< Population visible in the buckets.
     double min = 0.0;
     double max = 0.0;
@@ -82,15 +84,14 @@ class Histogram {
     double p999 = 0.0;
   };
 
-  /// Consistent snapshot: concurrent Record() calls may or may not be
-  /// included, but the summary never mixes pre- and post-reset state
-  /// (see the class comment for the exact guarantees).
+  /// Consistent snapshot of every record folded in so far (see the
+  /// class comment for the exact guarantees).
   Summary Summarize() const;
 
   /// Single-quantile snapshot (q in (0, 1]): the q-quantile of the
   /// current population under the same bucket-midpoint estimate as
-  /// Summarize(), with the same never-mixes-resets guarantee. This is
-  /// THE percentile implementation for the codebase -- the shedder, the
+  /// Summarize(), with the same consistency guarantee. This is THE
+  /// percentile implementation for the codebase -- the shedder, the
   /// stage histograms and the serving bench all read quantiles through
   /// it instead of re-deriving their own rank math. Returns 0 when the
   /// histogram is empty.
@@ -106,31 +107,42 @@ class Histogram {
   // 2^(1/4) growth, 128 buckets: covers [0, ~4.3e9] (in microseconds:
   // ~72 minutes).
   static constexpr size_t kBuckets = 128;
+  // The top bit of an epoch counter names the phase (= bank index).
+  static constexpr uint64_t kPhaseBit = uint64_t{1} << 63;
 
-  /// One reset-consistent view of the bucket state (seqlock retry loop
-  /// shared by Summarize()/Percentile()/SampleCount()).
-  struct BucketSnapshot {
-    std::array<uint64_t, kBuckets> counts;
+  /// Samples recorded during one phase.
+  struct Bank {
+    std::array<std::atomic<uint64_t>, kBuckets> buckets;
+    std::atomic<double> sum{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{0.0};
+  };
+
+  /// Everything folded in from retired banks, owned by the readers.
+  struct Totals {
+    std::array<uint64_t, kBuckets> counts{};
     uint64_t samples = 0;
-    uint64_t count = 0;
     double sum = 0.0;
-    double min = 0.0;
+    double min = std::numeric_limits<double>::infinity();
     double max = 0.0;
   };
-  BucketSnapshot Snapshot() const;
-  static double PercentileFrom(const BucketSnapshot& snapshot, double q);
+
+  /// Flips the phase, waits for the records still writing the retired
+  /// bank, and moves that bank's contents into `totals_`.
+  void Drain() const KDSEL_REQUIRES(read_mu_);
+  static double PercentileFrom(const Totals& totals, double q);
 
   static size_t BucketIndex(double value);
   static double BucketLowerBound(size_t index);
 
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_{0.0};
-  // Seqlock generation: odd while a Reset() wipe is in progress.
-  std::atomic<uint64_t> reset_seq_{0};
-  std::mutex reset_mu_;  ///< Serializes concurrent Reset() calls.
+  // Readers drain the banks from const accessors, hence `mutable`.
+  mutable std::array<Bank, 2> banks_;
+  // Records entered (low 63 bits) in the current phase (top bit).
+  mutable std::atomic<uint64_t> start_epoch_{0};
+  // Records finished per phase, offset by that phase's start value.
+  mutable std::array<std::atomic<uint64_t>, 2> end_epoch_;
+  mutable std::mutex read_mu_;  ///< Serializes readers and Reset().
+  mutable Totals totals_ KDSEL_GUARDED_BY(read_mu_);
 };
 
 /// Process-global registry of named metrics.

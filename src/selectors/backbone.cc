@@ -292,7 +292,7 @@ nn::Tensor TransformerBackbone::Forward(const nn::Tensor& input,
   KDSEL_CHECK(input.rank() == 2 && input.dim(1) == input_length_);
   const size_t B = input.dim(0);
   const size_t T = num_patches_, P = options_.patch_size, D = options_.dim;
-  cached_batch_ = {B};
+  if (training) cached_batch_ = {B};
   // [B, L] rows are already contiguous patches: view as [B*T, P].
   nn::Tensor patches = input.Reshaped({B * T, P});
   nn::Tensor x = patch_embed_.Forward(patches, training).Reshaped({B, T, D});

@@ -21,12 +21,10 @@ namespace kdsel::serve {
 /// never blocked or invalidated; they finish on the version they
 /// started with and the next batch picks up the new one.
 ///
-/// Thread-safety contract: the canonical instance is only ever *read*
-/// (metadata and parameter tensors). It is never run through a forward
-/// pass — Forward caches activations inside the modules, so each server
-/// worker clones its snapshot (TrainedSelector::Clone) and predicts on
-/// the private clone. Snapshot `version` numbers let workers detect a
-/// swap and re-clone lazily.
+/// Thread-safety contract: the canonical instance is only ever *read*.
+/// Inference forwards write no module state, so every server worker and
+/// stream re-score chunk predicts on the one shared snapshot at once.
+/// Snapshot `version` numbers tell callers which load served them.
 class SelectorRegistry {
  public:
   /// `manager` names the on-disk selector store used by Load/Reload.

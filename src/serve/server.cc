@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 
 #include "core/selection.h"
@@ -78,25 +79,31 @@ StatusOr<std::future<StatusOr<SelectResponse>>> InferenceServer::Submit(
   return future;
 }
 
-Status InferenceServer::SubmitAsync(SelectRequest request, DoneCallback done) {
+Status InferenceServer::AdmitLocked(const SelectRequest& request)
+    KDSEL_REQUIRES(submit_mu_) {
   if (request.selector.empty()) {
     return Status::InvalidArgument("request names no selector");
   }
+  if (!accepting_) {
+    return Status::FailedPrecondition("server is not accepting requests");
+  }
+  if (submit_queue_.size() >= options_.queue_capacity) {
+    stats_.RecordRejected();
+    return Status::ResourceExhausted(
+        "submission queue full (" + std::to_string(options_.queue_capacity) +
+        " requests)");
+  }
+  return Status::OK();
+}
+
+Status InferenceServer::SubmitAsync(SelectRequest request, DoneCallback done) {
   Pending pending;
   pending.request = std::move(request);
   pending.done = std::move(done);
   pending.submit_time = Clock::now();
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
-    if (!accepting_) {
-      return Status::FailedPrecondition("server is not accepting requests");
-    }
-    if (submit_queue_.size() >= options_.queue_capacity) {
-      stats_.RecordRejected();
-      return Status::FailedPrecondition(
-          "submission queue full (" +
-          std::to_string(options_.queue_capacity) + " requests)");
-    }
+    KDSEL_RETURN_NOT_OK(AdmitLocked(pending.request));
     submit_queue_.push_back(std::move(pending));
   }
   stats_.RecordSubmitted();
@@ -113,17 +120,7 @@ void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
     for (AsyncItem& item : items) {
-      Status verdict = Status::OK();
-      if (item.request.selector.empty()) {
-        verdict = Status::InvalidArgument("request names no selector");
-      } else if (!accepting_) {
-        verdict = Status::FailedPrecondition("server is not accepting requests");
-      } else if (submit_queue_.size() >= options_.queue_capacity) {
-        stats_.RecordRejected();
-        verdict = Status::FailedPrecondition(
-            "submission queue full (" +
-            std::to_string(options_.queue_capacity) + " requests)");
-      }
+      Status verdict = AdmitLocked(item.request);
       if (!verdict.ok()) {
         failed.emplace_back(std::move(item.done), std::move(verdict));
         continue;
@@ -232,7 +229,6 @@ void InferenceServer::WorkerLoop() {
   // set is deterministic given the seed, so every worker detects
   // identically (and identically to the offline pipeline).
   auto models = tsad::BuildDefaultModelSet(options_.detector_seed);
-  std::map<std::string, CachedSelector> cache;
 
   for (;;) {
     Batch batch;
@@ -244,7 +240,7 @@ void InferenceServer::WorkerLoop() {
       batch = std::move(batch_queue_.front());
       batch_queue_.pop_front();
     }
-    ProcessBatch(std::move(batch), cache, models);
+    ProcessBatch(std::move(batch), models);
   }
 }
 
@@ -259,8 +255,7 @@ void InferenceServer::FailBatch(Batch& batch, const Status& status) {
 }
 
 void InferenceServer::ProcessBatch(
-    Batch batch, std::map<std::string, CachedSelector>& cache,
-    const std::vector<std::unique_ptr<tsad::Detector>>& models) {
+    Batch batch, const std::vector<std::unique_ptr<tsad::Detector>>& models) {
   const Clock::time_point dequeue_time = Clock::now();
 
   auto snapshot = registry_->GetOrLoad(batch.selector);
@@ -268,18 +263,10 @@ void InferenceServer::ProcessBatch(
     FailBatch(batch, snapshot.status());
     return;
   }
-  CachedSelector& cached = cache[batch.selector];
-  if (cached.selector == nullptr || cached.version != snapshot->version) {
-    // Hot-reload happened (or first contact): clone the new snapshot.
-    auto clone = snapshot->selector->Clone();
-    if (!clone.ok()) {
-      FailBatch(batch, clone.status());
-      return;
-    }
-    cached.version = snapshot->version;
-    cached.selector = std::move(clone).value();
-  }
-  const core::TrainedSelector& selector = *cached.selector;
+  // Every worker predicts on the shared snapshot: inference forwards
+  // write no module state. Holding the snapshot keeps this version alive
+  // until the batch finishes, even if a hot reload swaps it out.
+  const core::TrainedSelector& selector = *snapshot->selector;
   // Vote over the worker's model-set size, exactly like the offline
   // DetectWithSelection path (the selector picks among these models).
   const size_t num_classes = models.size();

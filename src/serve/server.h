@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -88,9 +87,9 @@ struct SelectResponse {
 /// selector input length, stride = length), so responses are
 /// byte-identical to core::DetectWithSelection.
 ///
-/// Each worker keeps a private clone of every selector version it serves
-/// (forward passes mutate module-internal caches) plus its own TSAD
-/// model set, so workers share no mutable state on the hot path.
+/// Workers predict directly on the registry's shared, immutable snapshot
+/// (inference forwards write no module state), and each keeps its own
+/// TSAD model set, so workers share no mutable state on the hot path.
 class InferenceServer {
  public:
   /// The registry must outlive the server.
@@ -109,8 +108,9 @@ class InferenceServer {
   /// performs the shutdown, the rest return immediately.
   void Stop();
 
-  /// Enqueues a request. Fails fast with FailedPrecondition when the
-  /// submission queue is full (backpressure) or the server is stopped.
+  /// Enqueues a request. Fails fast with ResourceExhausted when the
+  /// submission queue is full (backpressure) and with FailedPrecondition
+  /// when the server is stopped.
   /// The future resolves when a worker finishes the request.
   StatusOr<std::future<StatusOr<SelectResponse>>> Submit(SelectRequest request);
 
@@ -133,9 +133,10 @@ class InferenceServer {
 
   /// Batched hand-off: admits every item under ONE submission-queue lock
   /// acquisition (an epoll shard submits everything parsed in one wake
-  /// cycle together). Items that cannot be admitted (queue full, server
-  /// stopped) have `done` invoked synchronously with the error; the rest
-  /// resolve from worker threads. Every `done` is invoked exactly once.
+  /// cycle together). Items that cannot be admitted (ResourceExhausted
+  /// when the queue is full, FailedPrecondition once stopped) have `done`
+  /// invoked synchronously with the error; the rest resolve from worker
+  /// threads. Every `done` is invoked exactly once.
   void SubmitBatch(std::vector<AsyncItem> items);
 
   /// Convenience: Submit + wait.
@@ -161,16 +162,12 @@ class InferenceServer {
     Clock::time_point formed;  ///< Stamped when the batcher flushes it.
   };
 
-  /// A worker's private clone of one registry snapshot.
-  struct CachedSelector {
-    uint64_t version = 0;
-    std::unique_ptr<core::TrainedSelector> selector;
-  };
-
+  /// Admission verdict for one request: OK, or why it cannot be queued
+  /// (ResourceExhausted when the submission queue is full).
+  Status AdmitLocked(const SelectRequest& request) KDSEL_REQUIRES(submit_mu_);
   void BatcherLoop();
   void WorkerLoop();
   void ProcessBatch(Batch batch,
-                    std::map<std::string, CachedSelector>& cache,
                     const std::vector<std::unique_ptr<tsad::Detector>>& models);
   void FailBatch(Batch& batch, const Status& status);
   void PushBatch(Batch batch);

@@ -27,6 +27,10 @@ struct StreamMetrics {
   obs::Histogram& rescore_us;
 };
 
+// Series per Phase B re-score chunk. Chunks share the batch's snapshot,
+// so this only sizes the ParallelFor work units.
+constexpr size_t kRescoreGrain = 2;
+
 StreamMetrics& Metrics() {
   static StreamMetrics metrics = [] {
     auto& registry = obs::MetricsRegistry::Global();
@@ -66,16 +70,10 @@ struct StreamScorer::SeriesState {
   const char* pending_reason = "initial";
 };
 
-struct StreamScorer::WorkerClone {
-  std::unique_ptr<core::TrainedSelector> selector;
-  uint64_t version = 0;
-};
-
 StreamScorer::StreamScorer(serve::SelectorRegistry* registry,
                            StreamOptions options)
     : registry_(registry), options_(std::move(options)) {
   KDSEL_CHECK(registry_ != nullptr);
-  if (options_.rescore_grain == 0) options_.rescore_grain = 1;
   if (options_.rescore_interval == 0) options_.rescore_interval = 1;
 }
 
@@ -205,35 +203,21 @@ StatusOr<std::vector<StreamEvent>> StreamScorer::ProcessBatch(
     }
   });
 
-  // Phase B: re-score due series on per-chunk selector clones. The
-  // chunk->clone assignment depends only on (list size, grain), and all
-  // clones of one snapshot version share identical weights, so output is
-  // independent of the executing thread.
+  // Phase B: re-score due series, every chunk on the batch's snapshot
+  // (inference forwards write no module state, so chunks share it).
+  // Each series' result depends only on its own state and the snapshot,
+  // so output is independent of the executing thread.
   rescore_.clear();
   for (SeriesState* state : touched_) {
     if (state->rescore_pending) rescore_.push_back(state);
   }
   if (!rescore_.empty()) {
-    const size_t grain = options_.rescore_grain;
-    const size_t chunks = ParallelChunkCount(rescore_.size(), grain);
-    if (clones_.size() < chunks) clones_.resize(chunks);
     results_.assign(rescore_.size(), StreamEvent{});
     statuses_.assign(rescore_.size(), Status::OK());
-    ParallelFor(rescore_.size(), grain, [&](size_t begin, size_t end) {
-      const size_t chunk = begin / grain;
-      WorkerClone& worker = clones_[chunk];
-      if (worker.selector == nullptr || worker.version != snapshot.version) {
-        auto cloned = snapshot.selector->Clone();
-        if (!cloned.ok()) {
-          for (size_t i = begin; i < end; ++i) statuses_[i] = cloned.status();
-          return;
-        }
-        worker.selector = std::move(cloned).value();
-        worker.version = snapshot.version;
-      }
+    ParallelFor(rescore_.size(), kRescoreGrain, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         statuses_[i] =
-            RescoreSeries(*rescore_[i], *worker.selector, &results_[i]);
+            RescoreSeries(*rescore_[i], *snapshot.selector, &results_[i]);
         results_[i].selector_version = snapshot.version;
       }
     });

@@ -21,7 +21,6 @@ struct StreamOptions {
   size_t rescore_interval = 128;    ///< Points between periodic re-scores.
   size_t drift_check_interval = 16;  ///< Points between drift checks.
   size_t recompute_interval = 0;    ///< Exact-recompute cadence; 0 = window.
-  size_t rescore_grain = 2;         ///< Series per parallel re-score chunk.
   DriftOptions drift;
   std::vector<std::string> model_names;  ///< Optional id -> display name.
 };
@@ -52,14 +51,13 @@ struct StreamEvent {
 /// Multiplexes many series through incremental feature maintenance,
 /// drift monitoring, and periodic selector re-scoring against a
 /// serve::SelectorRegistry snapshot (hot reload: a new registry version
-/// is picked up at the next batch and workers re-clone lazily).
+/// is picked up at the next batch).
 ///
 /// ProcessBatch output is deterministic w.r.t. thread count: per-series
-/// ingest runs one series per ParallelFor chunk, re-scores run on
-/// per-chunk selector clones whose assignment depends only on the
-/// re-score list and rescore_grain, and events are assembled serially in
-/// first-touch order. Not thread-safe itself: one StreamScorer per
-/// ingest thread.
+/// ingest runs one series per ParallelFor chunk, parallel re-scores all
+/// predict on the batch's one shared snapshot (inference forwards write
+/// no module state), and events are assembled serially in first-touch
+/// order. Not thread-safe itself: one StreamScorer per ingest thread.
 class StreamScorer {
  public:
   StreamScorer(serve::SelectorRegistry* registry, StreamOptions options);
@@ -79,7 +77,6 @@ class StreamScorer {
 
  private:
   struct SeriesState;
-  struct WorkerClone;
 
   SeriesState* FindOrCreate(const std::string& name);
   /// Steady-state per-point loop: feature pushes, drift checks, rescore
@@ -102,7 +99,6 @@ class StreamScorer {
   std::vector<SeriesState*> rescore_;   ///< Batch scratch.
   std::vector<StreamEvent> results_;    ///< Per-rescore output slots.
   std::vector<Status> statuses_;        ///< Per-rescore status slots.
-  std::vector<WorkerClone> clones_;     ///< Per-chunk selector clones.
   uint64_t points_ingested_ = 0;
 };
 

@@ -32,8 +32,9 @@ TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kOutOfRange,
         StatusCode::kNotFound, StatusCode::kAlreadyExists,
-        StatusCode::kFailedPrecondition, StatusCode::kIoError,
-        StatusCode::kInternal, StatusCode::kUnimplemented}) {
+        StatusCode::kFailedPrecondition, StatusCode::kResourceExhausted,
+        StatusCode::kIoError, StatusCode::kInternal,
+        StatusCode::kUnimplemented}) {
     EXPECT_STRNE(StatusCodeToString(code), "Unknown");
   }
 }

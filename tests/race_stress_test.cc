@@ -9,6 +9,8 @@
 //     calls on the inference path.
 //   * InferenceServer lifecycle: concurrent Stop() calls (client thread
 //     vs destructor path) with requests still in flight.
+//   * TrainedSelector: Logits/Predict on one shared selector from many
+//     threads, every backbone in fp32 and int8.
 //   * obs::Histogram: Reset() racing Record() and Summarize(), the
 //     pairing behind live `kdsel serve` stats scrapes.
 //
@@ -22,13 +24,18 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
+#include "nn/layers.h"
 #include "obs/metrics.h"
+#include "selectors/backbone.h"
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -334,11 +341,58 @@ TEST(RaceStressTest, ConcurrentStopIsIdempotent) {
   }
 }
 
+// Inference forwards write no module state, so threads share one
+// selector: concurrent Logits/Predict calls on a single TrainedSelector,
+// for every backbone in fp32 and int8, must each equal a serial run bit
+// for bit. Weights are untrained (random init), which is all bitwise
+// equality needs. Each of the pool's executors runs one chunk; forwards
+// inside a chunk run their own ParallelFor inline.
+TEST(RaceStressTest, SharedSelectorInfersConcurrentlyBitForBit) {
+  constexpr size_t kLength = 16, kClasses = 3, kThreads = 4, kRounds = 20;
+  ThreadPool pool(kThreads);
+  Rng rng(5);
+  std::vector<std::vector<float>> windows(8, std::vector<float>(kLength));
+  for (auto& window : windows) {
+    for (float& v : window) v = static_cast<float>(rng.Normal());
+  }
+  for (const std::string& name : selectors::BackboneNames()) {
+    auto backbone = selectors::BuildBackbone(name, kLength, rng);
+    ASSERT_TRUE(backbone.ok()) << backbone.status();
+    auto classifier =
+        std::make_unique<nn::Linear>((*backbone)->feature_dim(), kClasses, rng);
+    auto fp32 = std::make_unique<core::TrainedSelector>(
+        std::move(backbone).value(), std::move(classifier), kClasses, name);
+    auto int8 = fp32->QuantizeInt8(windows);
+    ASSERT_TRUE(int8.ok()) << int8.status();
+
+    for (const core::TrainedSelector* selector : {fp32.get(), int8->get()}) {
+      auto logits = selector->Logits(windows);
+      auto predicted = selector->Predict(windows);
+      ASSERT_TRUE(logits.ok() && predicted.ok());
+      std::atomic<int> mismatches{0};
+      pool.For(kThreads, 1, [&](size_t, size_t) {
+        for (size_t r = 0; r < kRounds; ++r) {
+          auto l = selector->Logits(windows);
+          auto p = selector->Predict(windows);
+          if (!l.ok() || !p.ok() || *p != *predicted ||
+              l->shape() != logits->shape() ||
+              std::memcmp(l->raw(), logits->raw(),
+                          logits->size() * sizeof(float)) != 0) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+      EXPECT_EQ(mismatches.load(), 0)
+          << name << (selector->IsInt8() ? " int8" : " fp32");
+    }
+  }
+}
+
 // Histogram Reset() racing Record() and Summarize(). Contract under
-// test (see obs/metrics.h): a summary never mixes pre- and post-reset
-// buckets, so `count >= samples` always holds, min <= max, and the mean
-// lies within the recorded value range. Recorders feed a fixed value so
-// any torn read shows up as an out-of-range min/max/mean.
+// test (see obs/metrics.h): every summary describes exactly the records
+// it counts, so `count >= samples` always holds, min <= max, and the
+// mean lies within the recorded value range. Recorders feed a fixed
+// value so any torn read shows up as an out-of-range min/max/mean.
 TEST(RaceStressTest, HistogramResetRacesRecordAndSummarize) {
   obs::Histogram histogram;
   constexpr double kValue = 42.0;

@@ -235,6 +235,41 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
   }
 }
 
+// Admission holds the submit lock for a whole SubmitBatch, so the
+// batcher cannot drain the queue mid-batch: of queue_capacity + 3 items
+// exactly the capacity is admitted, and the 3 overflow items complete
+// with the typed backpressure code before SubmitBatch returns.
+TEST(InferenceServerTest, SubmitBatchOverflowIsResourceExhausted) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector()).ok());
+  ServerOptions opts;
+  opts.queue_capacity = 4;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<size_t> exhausted{0}, ok{0}, completed{0};
+  std::vector<InferenceServer::AsyncItem> items(opts.queue_capacity + 3);
+  for (InferenceServer::AsyncItem& item : items) {
+    item.request.selector = "tiny";
+    item.request.series = ts::TimeSeries("x", std::vector<float>(32, 0.5f));
+    item.request.run_detection = false;
+    item.done = [&](StatusOr<SelectResponse> response) {
+      if (response.ok()) {
+        ok.fetch_add(1);
+      } else if (response.status().code() == StatusCode::kResourceExhausted) {
+        exhausted.fetch_add(1);
+      }
+      completed.fetch_add(1);
+    };
+  }
+  server.SubmitBatch(std::move(items));
+  EXPECT_EQ(exhausted.load(), 3u);
+  server.Stop();  // Drains the admitted requests.
+  EXPECT_EQ(completed.load(), opts.queue_capacity + 3);
+  EXPECT_EQ(ok.load(), opts.queue_capacity);
+  EXPECT_EQ(server.stats().rejected(), 3u);
+}
+
 TEST(InferenceServerTest, MatchesSequentialPipelineByteForByte) {
   SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
   auto trained = TrainTinySelector();

@@ -387,9 +387,7 @@ std::string RunScenario(size_t threads) {
   serve::SelectorRegistry registry(
       core::SelectorManager("/tmp/kdsel_stream_none"));
   KDSEL_CHECK(registry.Register("tiny", TrainTinySelector()).ok());
-  StreamOptions options = TinyStreamOptions();
-  options.rescore_grain = 2;
-  StreamScorer scorer(&registry, options);
+  StreamScorer scorer(&registry, TinyStreamOptions());
 
   std::vector<std::string> names;
   for (int s = 0; s < 9; ++s) names.push_back("series_" + std::to_string(s));
