@@ -422,13 +422,6 @@ std::vector<nn::Quantizable*> TrainedSelector::QuantizableLayers() const {
   return layers;
 }
 
-bool TrainedSelector::IsInt8() const {
-  for (nn::Quantizable* q : QuantizableLayers()) {
-    if (q->IsQuantized()) return true;
-  }
-  return false;
-}
-
 StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::QuantizeInt8(
     const std::vector<std::vector<float>>& calibration_windows) const {
   if (calibration_windows.empty()) {
@@ -444,6 +437,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::QuantizeInt8(
   // the absmax of the activations it will later quantize.
   KDSEL_RETURN_NOT_OK(quantized->Logits(calibration_windows).status());
   for (nn::Quantizable* q : layers) q->EndQuantCalibration();
+  quantized->int8_ = true;
   return quantized;
 }
 
@@ -476,26 +470,26 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Clone() const {
   auto clone = std::make_unique<TrainedSelector>(std::move(backbone),
                                                  std::move(classifier),
                                                  num_classes_, display_name_);
-  if (IsInt8()) {
+  if (int8_) {
     // Re-quantize the clone from its (just copied) fp32 weights and the
     // source's activation scales; weight quantization is deterministic,
     // so the clone serves bit-identical int8 results.
     KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
         clone->QuantizableLayers(),
         nn::CollectActivationScales(QuantizableLayers())));
+    clone->int8_ = true;
   }
   return clone;
 }
 
 Status TrainedSelector::Save(const std::string& prefix) const {
-  const bool int8 = IsInt8();
   std::ofstream meta(prefix + ".meta");
   if (!meta) return Status::IoError("cannot write " + prefix + ".meta");
   meta << "backbone=" << backbone_->name() << "\n";
   meta << "input_length=" << backbone_->input_length() << "\n";
   meta << "num_classes=" << num_classes_ << "\n";
   meta << "display_name=" << display_name_ << "\n";
-  if (int8) meta << "quant=int8\n";
+  if (int8_) meta << "quant=int8\n";
   if (!meta) return Status::IoError("write failed: " + prefix + ".meta");
   meta.close();
 
@@ -507,7 +501,7 @@ Status TrainedSelector::Save(const std::string& prefix) const {
   // trailing tensor: weight quantization is deterministic, so the scales
   // alone reproduce the quantized model bit-for-bit on load.
   nn::Tensor scales;
-  if (int8) {
+  if (int8_) {
     const std::vector<float> flat =
         nn::CollectActivationScales(QuantizableLayers());
     scales.Resize({flat.size()});
@@ -587,6 +581,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
     KDSEL_RETURN_NOT_OK(nn::ApplyActivationScales(
         selector->QuantizableLayers(),
         std::vector<float>(scales.raw(), scales.raw() + scales.size())));
+    selector->int8_ = true;
   }
   return selector;
 }

@@ -136,8 +136,9 @@ class TrainedSelector : public selectors::Selector {
   StatusOr<std::unique_ptr<TrainedSelector>> QuantizeInt8(
       const std::vector<std::vector<float>>& calibration_windows) const;
 
-  /// True when the selector runs int8 inference (any layer quantized).
-  bool IsInt8() const;
+  /// True when the selector runs int8 inference. Recorded once, by
+  /// QuantizeInt8, Load and Clone.
+  bool IsInt8() const { return int8_; }
 
   /// Persists architecture info + weights as `<prefix>.meta` and
   /// `<prefix>.weights`.
@@ -155,6 +156,7 @@ class TrainedSelector : public selectors::Selector {
   std::unique_ptr<nn::Linear> classifier_;
   size_t num_classes_;
   std::string display_name_;
+  bool int8_ = false;
 };
 
 /// Trains an NN selector with the KDSelector framework (paper Fig. 2):

@@ -1,13 +1,16 @@
 #include "net/server.h"
 
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -40,22 +43,18 @@ std::string OverloadedLine(int64_t id, const char* trace = "") {
   return out;
 }
 
-/// Mirrors serve::SanitizeTraceId's charset; duplicated here so the
-/// shed fast path can validate a peeked trace without a string
-/// allocation. The charset is what makes raw-splicing safe.
-bool IsTraceChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == ':' ||
-         c == '-';
-}
-
-/// Deterministic server-generated trace id for requests whose client
-/// sent none: `s<shard>-<per-shard sequence>`. Shard-thread only (the
-/// sequence lives on the Shard).
-void GenerateTrace(size_t shard_index, uint64_t& trace_seq,
-                   char out[obs::FlightRecord::kTraceBytes]) {
-  std::snprintf(out, obs::FlightRecord::kTraceBytes, "s%zu-%llu", shard_index,
-                static_cast<unsigned long long>(++trace_seq));
+/// The trace id a request travels under: `client` when non-empty (it
+/// is already in the sanitized charset), else a deterministic
+/// server-generated `s<shard>-<per-shard sequence>`. Shard-thread only
+/// (the sequence lives on the Shard).
+void PickTrace(const char* client, size_t shard_index, uint64_t& trace_seq,
+               char out[obs::FlightRecord::kTraceBytes]) {
+  if (client[0] != '\0') {
+    std::snprintf(out, obs::FlightRecord::kTraceBytes, "%s", client);
+  } else {
+    std::snprintf(out, obs::FlightRecord::kTraceBytes, "s%zu-%llu",
+                  shard_index, static_cast<unsigned long long>(++trace_seq));
+  }
 }
 
 /// Drain deadline for peers that stop reading during shutdown: sockets
@@ -63,6 +62,38 @@ void GenerateTrace(size_t shard_index, uint64_t& trace_seq,
 /// with the output dropped (in-flight inference completions are always
 /// awaited regardless; only unwritable bytes are abandoned).
 constexpr int64_t kStopFlushBudgetUs = 5 * 1000 * 1000;
+
+/// Longest id the peek accumulates: 18 decimal digits always fit an
+/// int64_t. A longer one is treated as absent.
+constexpr int kMaxPeekIdDigits = 18;
+
+/// epoll tags carry the connection key (its read fd) in the low 32
+/// bits; this bit marks an event from an adopted pair's separate write
+/// fd, whose hang-up must not trigger a read.
+constexpr uint64_t kOutSideTag = uint64_t{1} << 32;
+
+bool IsSocket(int fd) {
+  struct stat st = {};
+  return fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+/// One write toward `fd` that cannot stall the shard thread. An adopted
+/// pipe or tty may be blocking and is shared with the parent, so it is
+/// written only while poll(2) reports room, at most PIPE_BUF bytes at a
+/// time: a writable pipe takes that much whole. (A regular file always
+/// polls ready.)
+ssize_t WriteSome(int fd, bool socket, const char* data, size_t size) {
+  if (socket) return send(fd, data, size, MSG_NOSIGNAL | MSG_DONTWAIT);
+  pollfd pfd = {};
+  pfd.fd = fd;
+  pfd.events = POLLOUT;
+  const int ready = poll(&pfd, 1, 0);
+  if (ready <= 0) {
+    if (ready == 0) errno = EAGAIN;
+    return -1;
+  }
+  return write(fd, data, std::min<size_t>(size, PIPE_BUF));
+}
 
 /// True when `token` appears at `pos` as a JSON key (preceded only by
 /// `{` or `,` modulo whitespace, followed by a colon).
@@ -129,13 +160,15 @@ KDSEL_HOT LinePeek PeekRequestLine(const std::string& line) {
       ++pos;
     }
     int64_t value = 0;
-    bool any = false;
+    int digits = 0;
     while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-      value = value * 10 + (line[pos] - '0');
-      any = true;
+      if (digits < kMaxPeekIdDigits) value = value * 10 + (line[pos] - '0');
+      ++digits;
       ++pos;
     }
-    if (any) peek.id = negative ? -value : value;
+    if (digits > 0 && digits <= kMaxPeekIdDigits) {
+      peek.id = negative ? -value : value;
+    }
   }
   pos = FindKeyValue(line, "trace");
   if (pos != std::string::npos) {
@@ -156,7 +189,7 @@ KDSEL_HOT LinePeek PeekRequestLine(const std::string& line) {
         // Escapes, exotic characters and over-long ids all disqualify
         // the peek (the id is dropped, not an error): only ids that can
         // be spliced raw are worth recovering on the fast path.
-        if (!IsTraceChar(c) ||
+        if (!serve::IsTraceChar(c) ||
             out + 1 >= obs::FlightRecord::kTraceBytes) {
           break;
         }
@@ -178,6 +211,20 @@ NetServer::NetServer(serve::InferenceServer* server, NetServerOptions options)
 
 NetServer::~NetServer() { Stop(); }
 
+Status NetServer::Adopt(int in_fd, int out_fd) {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+  if (started_ || adopted_.first >= 0) {
+    return Status::FailedPrecondition("adopt one fd pair, before Start()");
+  }
+  struct stat st = {};
+  if (fstat(in_fd, &st) != 0 || fstat(out_fd, &st) != 0) {
+    return Status::InvalidArgument(std::string("adopted fd: ") +
+                                   std::strerror(errno));
+  }
+  adopted_ = {in_fd, out_fd};
+  return Status::OK();
+}
+
 Status NetServer::Start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (server_ == nullptr) {
@@ -190,7 +237,13 @@ Status NetServer::Start() {
   if (options_.max_line_bytes == 0 || options_.max_write_buffer_bytes == 0) {
     return Status::InvalidArgument("buffer caps must be positive");
   }
-  KDSEL_ASSIGN_OR_RETURN(HostPort address, ParseHostPort(options_.listen));
+  // Without an adopted fd pair the listener is all there is to serve, so
+  // an empty address is rejected like any other malformed one.
+  const bool listening = !options_.listen.empty() || adopted_.first < 0;
+  HostPort address;
+  if (listening) {
+    KDSEL_ASSIGN_OR_RETURN(address, ParseHostPort(options_.listen));
+  }
 
   auto cleanup = [&] {
     for (auto& shard : shards_) {
@@ -199,20 +252,22 @@ Status NetServer::Start() {
       if (shard->wake_fd >= 0) close(shard->wake_fd);
     }
     shards_.clear();
+    if (adopted_done_fd_ >= 0) close(adopted_done_fd_);
+    adopted_done_fd_ = -1;
   };
 
   for (size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->owner = this;
     shard->index = i;
 
-    auto listener = OpenReusePortListener(address, options_.backlog);
+    auto listener = listening ? OpenReusePortListener(address, options_.backlog)
+                              : StatusOr<int>(-1);
     if (!listener.ok()) {
       cleanup();
       return listener.status();
     }
     shard->listen_fd = *listener;
-    if (i == 0) {
+    if (listening && i == 0) {
       // Resolve an ephemeral-port request so the remaining shards (and
       // the caller) bind/see the same concrete port.
       auto port = LocalPort(shard->listen_fd);
@@ -236,11 +291,12 @@ Status NetServer::Start() {
     }
     epoll_event ev = {};
     ev.events = EPOLLIN;
-    ev.data.fd = shard->listen_fd;
+    ev.data.u64 = static_cast<uint64_t>(shard->listen_fd);
     epoll_event wake = {};
     wake.events = EPOLLIN;
-    wake.data.fd = shard->wake_fd;
-    if (epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->listen_fd, &ev) != 0 ||
+    wake.data.u64 = static_cast<uint64_t>(shard->wake_fd);
+    if ((listening && epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD,
+                                shard->listen_fd, &ev) != 0) ||
         epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &wake) != 0) {
       Status status =
           Status::IoError(std::string("epoll_ctl: ") + std::strerror(errno));
@@ -249,6 +305,25 @@ Status NetServer::Start() {
       return status;
     }
     shards_.push_back(std::move(shard));
+  }
+
+  if (const auto [in_fd, out_fd] = adopted_; in_fd >= 0) {
+    Shard& first = *shards_.front();
+    auto conn = std::make_unique<Conn>();
+    conn->adopted = true;
+    conn->in.fd = in_fd;
+    conn->in.socket = IsSocket(in_fd);
+    conn->out.fd = out_fd;
+    conn->out.socket = IsSocket(out_fd);
+    conn->gen = ++first.next_gen;
+    adopted_done_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (adopted_done_fd_ < 0 || !Arm(first, *conn, EPOLLIN, 0)) {
+      Status status = Status::IoError(std::string("eventfd/epoll_ctl: ") +
+                                      std::strerror(errno));
+      cleanup();
+      return status;
+    }
+    first.conns[in_fd] = std::move(conn);
   }
 
   for (auto& shard : shards_) {
@@ -272,6 +347,8 @@ void NetServer::Stop() {
     close(shard->epoll_fd);
     close(shard->wake_fd);
   }
+  if (adopted_done_fd_ >= 0) close(adopted_done_fd_);
+  adopted_done_fd_ = -1;
 }
 
 void NetServer::PushCompletion(Shard& shard, Completion completion) {
@@ -292,6 +369,17 @@ void NetServer::EnqueueReady(Conn& conn, std::string line) {
   conn.slots.push_back(std::move(slot));
 }
 
+void NetServer::EnqueueTraced(Conn& conn, std::string line,
+                              obs::FlightRecord::Verdict verdict,
+                              int64_t ingress_us, const char* trace) {
+  EnqueueReady(conn, std::move(line));
+  ReqMeta& meta = conn.slots.back().meta;
+  meta.traced = true;
+  meta.verdict = verdict;
+  meta.ingress_us = ingress_us;
+  std::memcpy(meta.trace, trace, sizeof(meta.trace));
+}
+
 void NetServer::AcceptReady(Shard& shard) {
   static obs::Counter& accepted =
       obs::MetricsRegistry::Global().GetCounter("kdsel.net.connections");
@@ -307,13 +395,10 @@ void NetServer::AcceptReady(Shard& shard) {
     Status nodelay = SetNoDelay(fd);
     (void)nodelay;
     auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
+    conn->in.fd = fd;
+    conn->out.fd = fd;
     conn->gen = ++shard.next_gen;
-    conn->armed = EPOLLIN;
-    epoll_event ev = {};
-    ev.events = conn->armed;
-    ev.data.fd = fd;
-    if (epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    if (!Arm(shard, *conn, EPOLLIN, 0)) {
       close(fd);
       continue;
     }
@@ -337,17 +422,9 @@ void NetServer::ProcessLine(
     if (peek.is_select && !shedder_.Admit(now_us)) {
       server_->stats().RecordShed();
       char trace[obs::FlightRecord::kTraceBytes];
-      if (peek.trace[0] != '\0') {
-        std::memcpy(trace, peek.trace, sizeof(trace));
-      } else {
-        GenerateTrace(shard.index, shard.trace_seq, trace);
-      }
-      EnqueueReady(conn, OverloadedLine(peek.id, trace));
-      Slot& slot = conn.slots.back();
-      slot.meta.traced = true;
-      slot.meta.verdict = obs::FlightRecord::Verdict::kShed;
-      slot.meta.ingress_us = now_us;
-      std::memcpy(slot.meta.trace, trace, sizeof(trace));
+      PickTrace(peek.trace, shard.index, shard.trace_seq, trace);
+      EnqueueTraced(conn, OverloadedLine(peek.id, trace),
+                    obs::FlightRecord::Verdict::kShed, now_us, trace);
       return;
     }
   }
@@ -358,15 +435,11 @@ void NetServer::ProcessLine(
     // Rare path: one extra structural scan recovers the client's trace
     // id from the unparseable line when it has a usable one.
     char trace[obs::FlightRecord::kTraceBytes];
-    std::memcpy(trace, PeekRequestLine(line).trace, sizeof(trace));
-    if (trace[0] == '\0') GenerateTrace(shard.index, shard.trace_seq, trace);
-    EnqueueReady(conn, serve::FormatErrorResponse(error_id, parsed.status(),
-                                                  trace));
-    Slot& slot = conn.slots.back();
-    slot.meta.traced = true;
-    slot.meta.verdict = obs::FlightRecord::Verdict::kError;
-    slot.meta.ingress_us = now_us;
-    std::memcpy(slot.meta.trace, trace, sizeof(trace));
+    PickTrace(PeekRequestLine(line).trace, shard.index, shard.trace_seq,
+              trace);
+    EnqueueTraced(conn,
+                  serve::FormatErrorResponse(error_id, parsed.status(), trace),
+                  obs::FlightRecord::Verdict::kError, now_us, trace);
     return;
   }
   serve::WireRequest& request = *parsed;
@@ -411,11 +484,7 @@ void NetServer::ProcessLine(
           obs::MetricsRegistry::Global().GetCounter("kdsel.net.requests");
       requests.Increment();
       char trace[obs::FlightRecord::kTraceBytes];
-      if (!request.trace.empty()) {
-        std::snprintf(trace, sizeof(trace), "%s", request.trace.c_str());
-      } else {
-        GenerateTrace(shard.index, shard.trace_seq, trace);
-      }
+      PickTrace(request.trace.c_str(), shard.index, shard.trace_seq, trace);
       const uint64_t seq = conn.base_seq + conn.slots.size();
       Slot slot;
       slot.kind = Slot::Kind::kPending;
@@ -434,29 +503,23 @@ void NetServer::ProcessLine(
       const bool want_scores = request.want_scores;
       item.request.series = std::move(request.series);
       const int64_t id = request.id;
-      const int fd = conn.fd;
+      const int fd = conn.in.fd;
       const uint64_t gen = conn.gen;
-      // ".int8" names route to the quantized sibling (protocol variant
-      // rewrite); attribute the request in the flight recorder.
-      const bool int8_variant =
-          request.selector.size() >= 5 &&
-          request.selector.compare(request.selector.size() - 5, 5, ".int8") ==
-              0;
       std::string trace_echo(trace);
       Shard* shard_ptr = &shard;
       const bool slo = options_.slo_ms > 0.0;
       item.done = [this, shard_ptr, fd, gen, seq, id, labeled, want_scores,
-                   int8_variant, trace_echo = std::move(trace_echo),
+                   trace_echo = std::move(trace_echo),
                    slo](StatusOr<serve::SelectResponse> response) {
         Completion completion;
         completion.fd = fd;
         completion.gen = gen;
         completion.seq = seq;
-        completion.int8_variant = int8_variant;
         if (response.ok()) {
           if (slo) shedder_.RecordLatency(response->timing.total_us);
           const serve::RequestTiming& timing = response->timing;
           completion.verdict = obs::FlightRecord::Verdict::kOk;
+          completion.int8_variant = response->int8;
           completion.done_us = timing.done_us;
           completion.batch_wait_us = static_cast<float>(timing.batch_wait_us);
           completion.compute_us = static_cast<float>(timing.compute_us);
@@ -489,14 +552,21 @@ void NetServer::ReadReady(
     std::vector<serve::InferenceServer::AsyncItem>& submits) {
   char buffer[64 * 1024];
   while (!conn.stop_reading && !conn.dead) {
-    const ssize_t n = read(conn.fd, buffer, sizeof(buffer));
+    const ssize_t n =
+        conn.in.socket ? recv(conn.in.fd, buffer, sizeof(buffer), MSG_DONTWAIT)
+                       : read(conn.in.fd, buffer, sizeof(buffer));
     if (n > 0) {
       conn.rbuf.append(buffer, static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < sizeof(buffer)) break;  // Drained.
+      // A pipe or tty may be blocking: one read per readiness report.
+      if (!conn.in.socket || static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n == 0) {
       conn.stop_reading = true;  // EOF; half-close: keep flushing replies.
+      // A last line without its '\n' still runs.
+      if (!conn.rbuf.empty() && conn.rbuf.back() != '\n') {
+        conn.rbuf.push_back('\n');
+      }
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -504,9 +574,23 @@ void NetServer::ReadReady(
     conn.dead = true;
     return;
   }
+  ConsumeLines(shard, conn, now_us, submits);
+}
 
+void NetServer::ConsumeLines(
+    Shard& shard, Conn& conn, int64_t now_us,
+    std::vector<serve::InferenceServer::AsyncItem>& submits) {
+  // A connection never has more selects in flight than the submission
+  // queue holds, so a file read in one go waits for room instead of
+  // being refused as "overloaded".
+  const size_t max_in_flight = server_->options().queue_capacity;
+  conn.throttled = false;
   size_t start = 0;
   for (;;) {
+    if (conn.pending >= max_in_flight) {
+      conn.throttled = true;
+      break;
+    }
     const size_t newline = conn.rbuf.find('\n', start);
     if (newline == std::string::npos) break;
     size_t end = newline;
@@ -528,7 +612,9 @@ void NetServer::ReadReady(
   }
   conn.rbuf.erase(0, start);
 
-  if (!conn.stop_reading && conn.rbuf.size() > options_.max_line_bytes) {
+  // Unless throttled, what is left is one partial line.
+  if (!conn.throttled && !conn.stop_reading &&
+      conn.rbuf.size() > options_.max_line_bytes) {
     LineOverflow(shard, conn);
     conn.rbuf.clear();
   }
@@ -543,19 +629,11 @@ void NetServer::LineOverflow(Shard& shard, Conn& conn) {
       obs::MetricsRegistry::Global().GetCounter("kdsel.net.line_overflows");
   overflows.Increment();
   char trace[obs::FlightRecord::kTraceBytes];
-  GenerateTrace(shard.index, shard.trace_seq, trace);
-  EnqueueReady(conn, serve::FormatErrorResponse(
-                         -1,
-                         Status::InvalidArgument(
-                             "line exceeds " +
-                             std::to_string(options_.max_line_bytes) +
-                             " bytes"),
-                         trace));
-  Slot& slot = conn.slots.back();
-  slot.meta.traced = true;
-  slot.meta.verdict = obs::FlightRecord::Verdict::kOverflow;
-  slot.meta.ingress_us = NowUs();
-  std::memcpy(slot.meta.trace, trace, sizeof(trace));
+  PickTrace("", shard.index, shard.trace_seq, trace);
+  const Status error = Status::InvalidArgument(
+      "line exceeds " + std::to_string(options_.max_line_bytes) + " bytes");
+  EnqueueTraced(conn, serve::FormatErrorResponse(-1, error, trace),
+                obs::FlightRecord::Verdict::kOverflow, NowUs(), trace);
   conn.stop_reading = true;  // Error reply flushes, then the conn closes.
 }
 
@@ -610,21 +688,22 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
   // Release the ready prefix in submission order. Traced slots park
   // their metadata in the shard scratch; they are recorded below, after
   // the send loop, under ONE write timestamp per flush (so tracing adds
-  // one clock read per FlushConn, not per request).
+  // one clock read per FlushConn, not per request), or earlier, ahead
+  // of a lazily formatted reply.
   shard.flush_scratch.clear();
   while (!conn.slots.empty()) {
     Slot& front = conn.slots.front();
     if (front.kind == Slot::Kind::kPending) break;
-    if (front.kind == Slot::Kind::kStats) {
+    if (front.kind != Slot::Kind::kReady) {
       // Formatted only now, when every earlier reply has left the
-      // queue, so the snapshot covers all previously answered requests.
-      front.line = serve::FormatStatsResponse(front.id, *server_);
-    } else if (front.kind == Slot::Kind::kOps) {
-      serve::OpsExtras extras;
-      extras.shedder_json = ShedderJson();
-      extras.flight_json = flight_.DumpJson();
+      // queue; the replies released just ahead of it are recorded
+      // first, so the snapshot counts every one of them.
+      RecordFlushed(shard);
       front.line =
-          serve::FormatOpsResponse(front.id, front.view, *server_, extras);
+          front.kind == Slot::Kind::kStats
+              ? serve::FormatStatsResponse(front.id, *server_)
+              : serve::FormatOpsResponse(front.id, front.view, *server_,
+                                         {ShedderJson(), flight_.DumpJson()});
     }
     if (front.meta.traced) shard.flush_scratch.push_back(front.meta);
     conn.wbuf += front.line;
@@ -634,8 +713,9 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
   }
 
   while (conn.woff < conn.wbuf.size()) {
-    const ssize_t n = send(conn.fd, conn.wbuf.data() + conn.woff,
-                           conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
+    const ssize_t n = WriteSome(conn.out.fd, conn.out.socket,
+                                conn.wbuf.data() + conn.woff,
+                                conn.wbuf.size() - conn.woff);
     if (n > 0) {
       conn.woff += static_cast<size_t>(n);
       continue;
@@ -650,13 +730,7 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
     conn.woff = 0;
   }
 
-  if (!shard.flush_scratch.empty()) {
-    const int64_t flushed_us = NowUs();
-    for (const ReqMeta& meta : shard.flush_scratch) {
-      RecordFlushed(meta, flushed_us);
-    }
-    shard.flush_scratch.clear();
-  }
+  RecordFlushed(shard);
 
   if (conn.stop_reading && conn.slots.empty() &&
       conn.woff == conn.wbuf.size()) {
@@ -673,26 +747,52 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
     conn.paused = false;
   }
 
-  uint32_t want = 0;
-  if (!conn.stop_reading && !conn.paused) want |= EPOLLIN;
-  if (backlog > 0) want |= EPOLLOUT;
-  if (want != conn.armed) {
-    epoll_event ev = {};
-    ev.events = want;
-    ev.data.fd = conn.fd;
-    if (epoll_ctl(shard.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
-      conn.armed = want;
+  const bool reading = !conn.stop_reading && !conn.paused && !conn.throttled;
+  Arm(shard, conn, reading ? uint32_t{EPOLLIN} : 0u,
+      backlog > 0 ? uint32_t{EPOLLOUT} : 0u);
+}
+
+bool NetServer::Arm(Shard& shard, Conn& conn, uint32_t in, uint32_t out) {
+  // Interest drops to no registration at all, so a hung-up pipe end the
+  // loop has no use for cannot keep waking it.
+  auto set = [&](Side& side, uint64_t tag, uint32_t want) {
+    if (want == side.armed) return true;
+    if (side.polled) {
+      epoll_event ev = {};
+      ev.events = want;
+      ev.data.u64 = tag;
+      const int op = side.armed == 0 ? EPOLL_CTL_ADD
+                     : want == 0     ? EPOLL_CTL_DEL
+                                     : EPOLL_CTL_MOD;
+      if (epoll_ctl(shard.epoll_fd, op, side.fd, &ev) != 0) {
+        // A regular file or /dev/null: epoll refuses it, it is always
+        // ready.
+        if (errno != EPERM) return false;
+        side.polled = false;
+      }
     }
-  }
+    side.armed = want;
+    return true;
+  };
+  const uint64_t key = static_cast<uint32_t>(conn.in.fd);
+  if (conn.in.fd == conn.out.fd) return set(conn.in, key, in | out);
+  return set(conn.in, key, in) && set(conn.out, key | kOutSideTag, out);
 }
 
 void NetServer::CloseConn(Shard& shard, Conn& conn) {
-  epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
-  close(conn.fd);
-  shard.conns.erase(conn.fd);  // Invalidates `conn`.
+  const int key = conn.in.fd;
+  Arm(shard, conn, 0, 0);
+  if (conn.adopted) {
+    // The fds stay open: they belong to the caller (stdin/stdout).
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = write(adopted_done_fd_, &one, sizeof(one));
+  } else {
+    close(key);
+  }
+  shard.conns.erase(key);  // Invalidates `conn`.
 }
 
-void NetServer::RecordFlushed(const ReqMeta& meta, int64_t flushed_us) {
+void NetServer::RecordFlushed(Shard& shard) {
   static obs::Histogram& queue_h =
       obs::MetricsRegistry::Global().GetHistogram("kdsel.net.stage.queue");
   static obs::Histogram& batch_wait_h =
@@ -704,31 +804,36 @@ void NetServer::RecordFlushed(const ReqMeta& meta, int64_t flushed_us) {
   static obs::Histogram& e2e_h =
       obs::MetricsRegistry::Global().GetHistogram("kdsel.net.e2e");
 
-  obs::FlightRecord record;
-  std::memcpy(record.trace, meta.trace, sizeof(record.trace));
-  record.verdict = meta.verdict;
-  record.int8_variant = meta.int8_variant;
-  record.total_us =
-      static_cast<double>(std::max<int64_t>(flushed_us - meta.ingress_us, 0));
-  if (meta.verdict == obs::FlightRecord::Verdict::kOk) {
-    record.queue_us = meta.queue_us;
-    record.batch_wait_us = meta.batch_wait_us;
-    record.compute_us = meta.compute_us;
-    // Response ready (worker stamp) -> reply handed to the send loop.
-    record.write_us = meta.done_us > 0
-                          ? static_cast<double>(std::max<int64_t>(
-                                flushed_us - meta.done_us, 0))
-                          : 0.0;
-    // Stage histograms only see served requests: a refusal's zeros
-    // would drag every stage p50 toward the shed rate instead of
-    // describing the pipeline.
-    queue_h.Record(record.queue_us);
-    batch_wait_h.Record(record.batch_wait_us);
-    compute_h.Record(record.compute_us);
-    write_h.Record(record.write_us);
-    e2e_h.Record(record.total_us);
+  if (shard.flush_scratch.empty()) return;
+  const int64_t flushed_us = NowUs();
+  for (const ReqMeta& meta : shard.flush_scratch) {
+    obs::FlightRecord record;
+    std::memcpy(record.trace, meta.trace, sizeof(record.trace));
+    record.verdict = meta.verdict;
+    record.int8_variant = meta.int8_variant;
+    record.total_us = static_cast<double>(
+        std::max<int64_t>(flushed_us - meta.ingress_us, 0));
+    if (meta.verdict == obs::FlightRecord::Verdict::kOk) {
+      record.queue_us = meta.queue_us;
+      record.batch_wait_us = meta.batch_wait_us;
+      record.compute_us = meta.compute_us;
+      // Response ready (worker stamp) -> reply handed to the send loop.
+      record.write_us = meta.done_us > 0
+                            ? static_cast<double>(std::max<int64_t>(
+                                  flushed_us - meta.done_us, 0))
+                            : 0.0;
+      // Stage histograms only see served requests: a refusal's zeros
+      // would drag every stage p50 toward the shed rate instead of
+      // describing the pipeline.
+      queue_h.Record(record.queue_us);
+      batch_wait_h.Record(record.batch_wait_us);
+      compute_h.Record(record.compute_us);
+      write_h.Record(record.write_us);
+      e2e_h.Record(record.total_us);
+    }
+    flight_.Record(record);
   }
-  flight_.Record(record);
+  shard.flush_scratch.clear();
 }
 
 std::string NetServer::ShedderJson() const {
@@ -751,24 +856,44 @@ std::string NetServer::ShedderJson() const {
 }
 
 void NetServer::ShardLoop(Shard& shard) {
-  constexpr size_t kMaxEvents = 256;
+  constexpr int kMaxEvents = 256;
   epoll_event events[kMaxEvents];
   std::vector<serve::InferenceServer::AsyncItem> submits;
   bool draining = false;
   int64_t drain_deadline_us = 0;
 
   for (;;) {
-    const int timeout_ms = draining ? 50 : -1;
-    const int n = epoll_wait(shard.epoll_fd, events, kMaxEvents, timeout_ms);
-    if (n < 0) {
+    // Sides epoll refused (a regular file, /dev/null) are always ready:
+    // while the adopted connection wants I/O on one, its event is made
+    // up here and the wait below does not block.
+    int made_up = 0;
+    const auto adopted = adopted_.first >= 0
+                             ? shard.conns.find(adopted_.first)
+                             : shard.conns.end();
+    if (adopted != shard.conns.end()) {
+      const Conn& conn = *adopted->second;
+      const uint32_t ready = (conn.in.polled ? 0 : conn.in.armed) |
+                             (conn.out.polled ? 0 : conn.out.armed);
+      if (ready != 0) {
+        events[0].events = ready;
+        events[0].data.u64 = static_cast<uint32_t>(adopted_.first);
+        made_up = 1;
+      }
+    }
+    const int timeout_ms = made_up > 0 ? 0 : draining ? 50 : -1;
+    const int waited = epoll_wait(shard.epoll_fd, events + made_up,
+                                  kMaxEvents - made_up, timeout_ms);
+    if (waited < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd broken; nothing sane left to do.
     }
+    const int n = made_up + waited;
     const int64_t now_us = NowUs();
 
     bool completions = false;
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
+      const uint64_t tag = events[i].data.u64;
+      const int fd = static_cast<int>(static_cast<uint32_t>(tag));
       if (fd == shard.wake_fd) {
         completions = true;  // Drained once, below, after socket work.
         continue;
@@ -780,12 +905,18 @@ void NetServer::ShardLoop(Shard& shard) {
       auto it = shard.conns.find(fd);
       if (it == shard.conns.end()) continue;
       Conn& conn = *it->second;
-      if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-        // Half-close (EPOLLHUP with pending replies) still flushes;
-        // hard errors surface through read()/send() below.
-        conn.stop_reading = true;
+      uint32_t ready = events[i].events;
+      if (ready & (EPOLLERR | EPOLLHUP)) {
+        if (!conn.adopted) {
+          // Half-close (EPOLLHUP with pending replies) still flushes;
+          // hard errors surface through read()/send() below.
+          conn.stop_reading = true;
+        } else if ((tag & kOutSideTag) == 0) {
+          // A pipe whose writer left: read what it still holds, then EOF.
+          ready |= EPOLLIN;
+        }
       }
-      if (events[i].events & EPOLLIN) {
+      if (ready & EPOLLIN) {
         ReadReady(shard, conn, now_us, submits);
       }
       FlushConn(shard, conn);  // May close and erase `conn`.
@@ -798,6 +929,8 @@ void NetServer::ShardLoop(Shard& shard) {
       for (auto it = shard.conns.begin(); it != shard.conns.end();) {
         Conn& conn = *it->second;
         ++it;  // FlushConn may erase the current entry.
+        // Completions made in-flight room: run the lines held back.
+        if (conn.throttled) ConsumeLines(shard, conn, now_us, submits);
         FlushConn(shard, conn);
       }
     }
@@ -810,13 +943,16 @@ void NetServer::ShardLoop(Shard& shard) {
     if (stopping_.load(std::memory_order_acquire) && !draining) {
       draining = true;
       drain_deadline_us = now_us + kStopFlushBudgetUs;
-      epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, shard.listen_fd, nullptr);
-      close(shard.listen_fd);
-      shard.listen_fd = -1;
+      if (shard.listen_fd >= 0) {
+        epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, shard.listen_fd, nullptr);
+        close(shard.listen_fd);
+        shard.listen_fd = -1;
+      }
       for (auto it = shard.conns.begin(); it != shard.conns.end();) {
         Conn& conn = *it->second;
         ++it;
         conn.stop_reading = true;
+        conn.rbuf.clear();  // Lines not yet run are not accepted.
         FlushConn(shard, conn);  // Closes idle conns outright.
       }
     }

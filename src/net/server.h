@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -19,10 +20,12 @@
 
 namespace kdsel::net {
 
-/// Tuning knobs for the TCP front end.
+/// Tuning knobs for the serving front end.
 struct NetServerOptions {
   /// IPv4 "host:port" to listen on. Port 0 binds an ephemeral port
-  /// (query it with port() after Start()).
+  /// (query it with port() after Start()). Empty opens no listening
+  /// socket: the server then serves only its adopted fd pair, and
+  /// Start() fails if none was adopted.
   std::string listen = "127.0.0.1:0";
   /// Shard threads. Each owns its own SO_REUSEPORT listening socket,
   /// epoll instance and connections; shards share nothing but the
@@ -61,16 +64,21 @@ struct LinePeek {
 };
 LinePeek PeekRequestLine(const std::string& line);
 
-/// Network front end for the NDJSON serving protocol.
+/// The one request pipeline of the NDJSON serving protocol, for every
+/// transport.
 ///
 /// N shard threads, each with its own SO_REUSEPORT listener and epoll
 /// loop, speak the protocol of serve/protocol.h over TCP with
-/// non-blocking reads/writes and per-connection bounded buffers.
-/// Responses go back in per-connection submission order. Select
+/// non-blocking reads/writes and per-connection bounded buffers. An
+/// adopted fd pair (Adopt(): `kdsel serve` passes stdin/stdout) is one
+/// more connection of shard 0 and takes the same line, slot and flush
+/// path. Responses go back in per-connection submission order. Select
 /// requests are handed to the InferenceServer in one batch per epoll
 /// wake (one submission-lock acquisition), and completions flow back to
 /// the owning shard through an eventfd, so no thread ever parks on a
-/// future.
+/// future. A connection stops being read while its in-flight selects
+/// fill the InferenceServer's queue_capacity, so a file read in one go
+/// is throttled rather than refused.
 ///
 /// Admission control: when `slo_ms` is set, a Shedder watches the
 /// windowed p99 of accepted requests and, while overloaded, refuses new
@@ -87,10 +95,11 @@ LinePeek PeekRequestLine(const std::string& line);
 /// serve/protocol.h) exports all of it live. See DESIGN.md "Request
 /// observability".
 ///
-/// Lifecycle: Start() binds and spawns shards; Stop() closes the
-/// listeners, stops reading, drains every in-flight request, flushes
-/// what the peers will accept, and joins. Stop this front end BEFORE
-/// stopping the InferenceServer, so in-flight completions can drain.
+/// Lifecycle: Adopt() an fd pair if any, then Start() binds and spawns
+/// shards; Stop() closes the listeners, stops reading, drains every
+/// in-flight request, flushes what the peers will accept, and joins.
+/// Stop this front end BEFORE stopping the InferenceServer, so
+/// in-flight completions can drain.
 class NetServer {
  public:
   /// The inference server must outlive this object and be Start()ed.
@@ -100,8 +109,24 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
+  /// Serves an open fd pair as one more connection of shard 0; call at
+  /// most once, before Start(). `in_fd` may equal `out_fd` (a socket). The fds stay
+  /// the caller's and may share their file description with a parent
+  /// shell or tty: they are never closed and their O_NONBLOCK flag is
+  /// never set. Sockets get MSG_DONTWAIT calls instead; a pipe or tty
+  /// gets one read() per readiness report and PIPE_BUF-sized write()s
+  /// while poll(2) reports room. A regular file or /dev/null, which
+  /// epoll refuses, counts as always ready.
+  Status Adopt(int in_fd, int out_fd);
+
   Status Start();
   void Stop();
+
+  /// An eventfd that turns readable once the adopted connection has
+  /// closed (its input hit EOF or `quit`, and every reply was written);
+  /// -1 when nothing was adopted. Poll it together with a shutdown
+  /// signal to wait for the end of a stdin session.
+  int adopted_done_fd() const { return adopted_done_fd_; }
 
   /// Bound port (after Start(); resolves a port-0 request).
   uint16_t port() const { return port_; }
@@ -149,19 +174,34 @@ class NetServer {
     ReqMeta meta;
   };
 
-  struct Conn {
+  /// One direction of a connection: an accepted socket uses one fd for
+  /// both, an adopted pair has two.
+  struct Side {
     int fd = -1;
+    /// Events wanted: registered with epoll, or, when !polled, served on
+    /// every loop pass.
+    uint32_t armed = 0;
+    bool socket = true;  ///< recv/send with MSG_DONTWAIT; else read/write.
+    bool polled = true;  ///< false: epoll refused the fd (always ready).
+  };
+
+  struct Conn {
+    Side in;   ///< in.fd keys the connection in Shard::conns.
+    Side out;  ///< out.fd == in.fd except for adopted pairs.
+    bool adopted = false;   ///< Caller-owned fds (see Adopt()).
     uint64_t gen = 0;
-    std::string rbuf;       ///< Unconsumed input (at most one partial line).
+    std::string rbuf;       ///< Unconsumed input.
     std::string wbuf;       ///< Pending output.
     size_t woff = 0;        ///< Consumed prefix of wbuf.
-    uint32_t armed = 0;     ///< Events currently registered with epoll.
     uint64_t base_seq = 0;  ///< Sequence number of slots.front().
     std::deque<Slot> slots;
     size_t pending = 0;     ///< Slots still waiting on a completion.
     bool stop_reading = false;  ///< EOF or quit seen (or server stopping).
     bool saw_quit = false;      ///< quit op: discard any later input too.
     bool paused = false;        ///< Reads off due to write backpressure.
+    /// Reads and line processing off: `pending` reached the
+    /// InferenceServer's queue_capacity.
+    bool throttled = false;
     bool dead = false;          ///< Hard error: close, dropping output.
   };
 
@@ -182,13 +222,12 @@ class NetServer {
   };
 
   struct Shard {
-    NetServer* owner = nullptr;
     size_t index = 0;
     int listen_fd = -1;
     int epoll_fd = -1;
     int wake_fd = -1;  ///< eventfd: completions arrived or Stop() called.
     std::thread thread;
-    uint64_t next_gen = 0;  ///< Generation source for accepted conns.
+    uint64_t next_gen = 0;  ///< Generation source for connections.
     uint64_t trace_seq = 0;  ///< Source for generated trace ids.
     std::map<int, std::unique_ptr<Conn>> conns;  ///< Shard-thread only.
     std::mutex done_mu;
@@ -205,8 +244,15 @@ class NetServer {
 
   void ShardLoop(Shard& shard);
   void AcceptReady(Shard& shard);
+  /// Brings the epoll interest of both sides of `conn` to `in`/`out`.
+  /// False when epoll refused a side for a reason other than EPERM.
+  bool Arm(Shard& shard, Conn& conn, uint32_t in, uint32_t out);
   void ReadReady(Shard& shard, Conn& conn, int64_t now_us,
                  std::vector<serve::InferenceServer::AsyncItem>& submits);
+  /// Runs the complete lines buffered in rbuf until the in-flight
+  /// selects reach queue_capacity (then `throttled`) or quit.
+  void ConsumeLines(Shard& shard, Conn& conn, int64_t now_us,
+                    std::vector<serve::InferenceServer::AsyncItem>& submits);
   void ProcessLine(Shard& shard, Conn& conn, const std::string& line,
                    int64_t now_us,
                    std::vector<serve::InferenceServer::AsyncItem>& submits);
@@ -218,12 +264,16 @@ class NetServer {
   void FlushConn(Shard& shard, Conn& conn);
   void CloseConn(Shard& shard, Conn& conn);
   void EnqueueReady(Conn& conn, std::string line);
+  /// EnqueueReady for a refusal traced like a select: its flight record
+  /// lands when the reply is flushed. `trace` holds kTraceBytes chars.
+  void EnqueueTraced(Conn& conn, std::string line,
+                     obs::FlightRecord::Verdict verdict, int64_t ingress_us,
+                     const char* trace);
   void LineOverflow(Shard& shard, Conn& conn);
-  /// Records stage histograms and the flight record for one traced
-  /// slot whose reply bytes were just handed to the send loop.
-  /// `flushed_us` is a single per-FlushConn timestamp shared by every
-  /// slot flushed in that call.
-  void RecordFlushed(const ReqMeta& meta, int64_t flushed_us);
+  /// Records stage histograms and flight records for the traced slots
+  /// parked in the shard's flush scratch, under one timestamp, and
+  /// empties it.
+  void RecordFlushed(Shard& shard);
   /// Renders the shedder's current state as a JSON object for "ops"
   /// snapshot replies.
   std::string ShedderJson() const;
@@ -233,6 +283,8 @@ class NetServer {
   Shedder shedder_;
   obs::FlightRecorder flight_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::pair<int, int> adopted_{-1, -1};  ///< {in, out} to serve at Start().
+  int adopted_done_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> connections_accepted_{0};

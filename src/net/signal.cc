@@ -52,14 +52,18 @@ int ShutdownEventFd() { return g_shutdown_fd; }
 
 void RequestShutdownForTesting() { OnShutdownSignal(SIGTERM); }
 
-void WaitForShutdownSignal() {
+void WaitForShutdownSignal(int done_fd) {
   while (!ShutdownRequested()) {
-    pollfd pfd = {};
-    pfd.fd = g_shutdown_fd;
-    pfd.events = POLLIN;
+    // poll(2) skips a negative fd, so -1 waits for the signal alone.
+    pollfd pfd[2] = {};
+    pfd[0].fd = g_shutdown_fd;
+    pfd[0].events = POLLIN;
+    pfd[1].fd = done_fd;
+    pfd[1].events = POLLIN;
     // The timeout covers the (unlikely) install-less caller and the
     // race where the signal lands between the flag check and poll().
-    poll(&pfd, 1, 200);
+    poll(pfd, 2, 200);
+    if (pfd[1].revents != 0) return;
   }
 }
 

@@ -10,10 +10,10 @@ namespace kdsel::net {
 /// internal eventfd so event loops blocked in epoll_wait (or a caller
 /// blocked in WaitForShutdownSignal) wake immediately.
 ///
-/// Handlers are installed WITHOUT SA_RESTART, so the stdin NDJSON loops
-/// (`kdsel serve`/`kdsel stream` in pipe mode) pop out of their blocking
-/// getline with EOF, drain in-flight requests and print final stats
-/// instead of dying mid-write. Call once; subsequent calls are no-ops.
+/// Handlers are installed WITHOUT SA_RESTART, so `kdsel stream`'s stdin
+/// loop pops out of its blocking getline with EOF, drains in-flight
+/// requests and prints final stats instead of dying mid-write. Call
+/// once; subsequent calls are no-ops.
 Status InstallShutdownHandlers();
 
 /// True once SIGINT or SIGTERM has been delivered.
@@ -25,8 +25,9 @@ bool ShutdownRequested();
 int ShutdownEventFd();
 
 /// Blocks until SIGINT/SIGTERM arrives (returns immediately if one
-/// already did).
-void WaitForShutdownSignal();
+/// already did) or, when `done_fd` >= 0, until `done_fd` turns readable
+/// (e.g. NetServer::adopted_done_fd(): the stdin session ended).
+void WaitForShutdownSignal(int done_fd = -1);
 
 /// Test hook: pretends a signal arrived (same code path as the real
 /// handler, minus the kernel).

@@ -1,15 +1,8 @@
 #include "serve/protocol.h"
 
-#include <condition_variable>
+#include <cmath>
 #include <cstdio>
-#include <deque>
-#include <istream>
-#include <mutex>
-#include <optional>
-#include <ostream>
-#include <thread>
 
-#include "common/annotations.h"
 #include "obs/metrics.h"
 #include "serve/json.h"
 
@@ -31,12 +24,6 @@ std::string FormatUs(double us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", us);
   return buf;
-}
-
-bool IsTraceChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == ':' ||
-         c == '-';
 }
 
 /// Appends `,"trace":"<id>"` when `trace` is non-empty. The id is in
@@ -65,8 +52,14 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line,
   if (!doc.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
+  // Ids travel as JSON numbers (doubles): beyond 2^53 they are no longer
+  // exact, and past int64_t the conversion itself is undefined.
+  const double id = doc.GetNumber("id", -1);
+  if (!(std::fabs(id) <= 9007199254740992.0)) {
+    return Status::InvalidArgument("\"id\" must lie within +-2^53");
+  }
   WireRequest request;
-  request.id = static_cast<int64_t>(doc.GetNumber("id", -1));
+  request.id = static_cast<int64_t>(id);
   // From here on the line is a JSON object: any later validation error
   // can still be attributed to the request the client sent.
   if (error_id != nullptr) *error_id = request.id;
@@ -224,176 +217,17 @@ std::string FormatOpsResponse(int64_t id, const std::string& view,
                               const OpsExtras& extras) {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"ok\":true";
   if (view == "flight") {
-    out += ",\"flight\":";
-    out += extras.flight_json.empty() ? "null" : extras.flight_json;
+    out += ",\"flight\":" + extras.flight_json;
   } else if (view == "prometheus") {
     out += ",\"prometheus\":";
     AppendJsonString(out, obs::MetricsRegistry::Global().RenderPrometheus());
   } else {  // "snapshot"
     out += ",\"stats\":" + server.stats().ToJsonString();
     out += ",\"metrics\":" + obs::MetricsRegistry::Global().SnapshotJson();
-    out += ",\"shedder\":";
-    out += extras.shedder_json.empty() ? "null" : extras.shedder_json;
+    out += ",\"shedder\":" + extras.shedder_json;
   }
   out.push_back('}');
   return out;
-}
-
-namespace {
-
-struct PrintItem {
-  int64_t id = -1;
-  bool labeled = false;
-  bool want_scores = false;
-  bool stats = false;
-  bool ops = false;
-  std::string view;   ///< "ops" payload selector.
-  std::string trace;  ///< Echoed on select/error replies when non-empty.
-  std::optional<std::string> ready;
-  std::future<StatusOr<SelectResponse>> future;
-};
-
-/// Responses are printed by one thread, in submission order, so the
-/// reader keeps submitting while earlier requests are still in flight
-/// (the server processes them concurrently). One instance lives on
-/// RunServeLoop's stack; the printer thread joins before it dies.
-struct PrintQueue {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<PrintItem> pending KDSEL_GUARDED_BY(mu);
-  bool done KDSEL_GUARDED_BY(mu) = false;
-};
-
-}  // namespace
-
-Status RunServeLoop(std::istream& in, std::ostream& out,
-                    InferenceServer& server) {
-  PrintQueue q;
-
-  std::thread printer([&] {
-    for (;;) {
-      PrintItem item;
-      {
-        std::unique_lock<std::mutex> lock(q.mu);
-        q.cv.wait(lock, [&] { return !q.pending.empty() || q.done; });
-        if (q.pending.empty()) return;
-        item = std::move(q.pending.front());
-        q.pending.pop_front();
-      }
-      std::string line;
-      if (item.stats) {
-        // Formatted at print time, after every earlier reply has been
-        // resolved, so the snapshot covers all previously answered
-        // requests in the session.
-        line = FormatStatsResponse(item.id, server);
-      } else if (item.ops) {
-        // Same print-time semantics as stats. The stdin transport has
-        // no shedder or flight recorder; those fields render as null.
-        line = FormatOpsResponse(item.id, item.view, server, OpsExtras{});
-      } else if (item.ready.has_value()) {
-        line = *item.ready;
-      } else {
-        StatusOr<SelectResponse> response = item.future.get();
-        line = response.ok()
-                   ? FormatSelectResponse(item.id, *response, item.labeled,
-                                          item.want_scores, item.trace)
-                   : FormatErrorResponse(item.id, response.status(),
-                                         item.trace);
-      }
-      out << line << '\n' << std::flush;
-    }
-  });
-
-  auto enqueue = [&](PrintItem item) {
-    {
-      std::lock_guard<std::mutex> lock(q.mu);
-      q.pending.push_back(std::move(item));
-    }
-    q.cv.notify_one();
-  };
-  auto enqueue_ready = [&](std::string line) {
-    PrintItem item;
-    item.ready = std::move(line);
-    enqueue(std::move(item));
-  };
-
-  SelectorRegistry& registry = server.registry();
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // A malformed line answers with a structured error (echoing the
-    // request id whenever one was recoverable) and the session keeps
-    // going; only "quit"/EOF end the loop.
-    int64_t error_id = -1;
-    auto parsed = ParseRequestLine(line, &error_id);
-    if (!parsed.ok()) {
-      enqueue_ready(FormatErrorResponse(error_id, parsed.status()));
-      continue;
-    }
-    WireRequest& request = *parsed;
-    switch (request.op) {
-      case WireRequest::Op::kQuit:
-        quit = true;
-        break;
-      case WireRequest::Op::kList:
-        enqueue_ready(FormatListResponse(request.id, registry));
-        break;
-      case WireRequest::Op::kReload: {
-        Status status = request.selector.empty()
-                            ? registry.ReloadAll()
-                            : registry.Load(request.selector);
-        if (status.ok()) server.stats().RecordReload();
-        enqueue_ready(status.ok()
-                          ? FormatOkResponse(request.id)
-                          : FormatErrorResponse(request.id, status));
-        break;
-      }
-      case WireRequest::Op::kStats: {
-        PrintItem item;
-        item.id = request.id;
-        item.stats = true;
-        enqueue(std::move(item));
-        break;
-      }
-      case WireRequest::Op::kOps: {
-        PrintItem item;
-        item.id = request.id;
-        item.ops = true;
-        item.view = request.view;
-        enqueue(std::move(item));
-        break;
-      }
-      case WireRequest::Op::kSelect: {
-        PrintItem item;
-        item.id = request.id;
-        item.labeled = request.series.has_labels();
-        item.want_scores = request.want_scores;
-        item.trace = request.trace;
-        SelectRequest submit;
-        submit.selector = request.selector;
-        submit.series = std::move(request.series);
-        submit.run_detection = request.detect;
-        auto future = server.Submit(std::move(submit));
-        if (!future.ok()) {
-          enqueue_ready(FormatErrorResponse(request.id, future.status(),
-                                            request.trace));
-          break;
-        }
-        item.future = std::move(future).value();
-        enqueue(std::move(item));
-        break;
-      }
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.done = true;
-  }
-  q.cv.notify_all();
-  printer.join();
-  return Status::OK();
 }
 
 }  // namespace kdsel::serve

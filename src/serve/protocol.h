@@ -1,7 +1,6 @@
 #ifndef KDSEL_SERVE_PROTOCOL_H_
 #define KDSEL_SERVE_PROTOCOL_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "serve/server.h"
@@ -20,9 +19,10 @@ namespace kdsel::serve {
 ///   {"op":"ops","id":5,"view":"snapshot"}  -- live telemetry (see below)
 ///   {"op":"quit"}                   -- drain and exit (EOF works too)
 ///
-/// Responses echo the request id (and the request's "trace" when one was
-/// supplied; over TCP a server-generated trace id is echoed even when
-/// the client sent none):
+/// An "id" must lie within +-2^53 (JSON numbers are doubles). Responses
+/// echo the request id. Select replies and the errors for unparseable
+/// lines also echo a trace id: the request's "trace" when it supplied
+/// a usable one, else one the server generated:
 ///   {"id":1,"ok":true,"model":"IForest","model_id":4,"votes":[...],
 ///    "num_windows":8,"auc_pr":0.91,"queue_us":...,"select_us":...,
 ///    "detect_us":...,"total_us":...,"batch_size":3,"scores":[...],
@@ -46,11 +46,19 @@ struct WireRequest {
   ts::TimeSeries series;
 };
 
+/// The trace-id charset, [A-Za-z0-9._:-]. It is what makes splicing an
+/// id raw into a reply JSON-safe, including one the net layer peeked
+/// from an unparsed line.
+inline bool IsTraceChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == ':' ||
+         c == '-';
+}
+
 /// Validates a client-supplied trace id: at most 23 characters, every
-/// one of them in [A-Za-z0-9._:-]. Returns the id unchanged when it is
+/// one of them an IsTraceChar. Returns the id unchanged when it is
 /// acceptable and "" otherwise (an unusable id is dropped, not an
-/// error: the server falls back to generating one). The charset is what
-/// makes raw-splicing a peeked trace into a reply JSON-safe.
+/// error: the server falls back to generating one).
 std::string SanitizeTraceId(const std::string& raw);
 
 /// Parses one request line. Unknown fields are ignored; unknown ops and
@@ -61,7 +69,8 @@ std::string SanitizeTraceId(const std::string& raw);
 /// least a JSON object carrying one (e.g. a select with a bad "values"
 /// array), -1 when even that much could not be recovered. This keeps a
 /// pipelined client able to correlate failures mid-session instead of
-/// seeing every malformed line collapse to id -1.
+/// seeing every malformed line collapse to id -1. An id outside +-2^53
+/// is itself the error, reported under id -1.
 StatusOr<WireRequest> ParseRequestLine(const std::string& line,
                                        int64_t* error_id = nullptr);
 
@@ -75,32 +84,22 @@ std::string FormatErrorResponse(int64_t id, const Status& status,
                                 const std::string& trace = "");
 std::string FormatOkResponse(int64_t id);
 
-/// Control-op replies shared by the stdin loop and the TCP shards.
+/// Control-op replies.
 std::string FormatListResponse(int64_t id, SelectorRegistry& registry);
 std::string FormatStatsResponse(int64_t id, const InferenceServer& server);
 
-/// Transport-owned telemetry spliced into an "ops" reply. Each field is
-/// pre-rendered JSON text (or empty when the transport has no such
-/// component, e.g. the stdin loop has no shedder or flight recorder, in
-/// which case the reply carries `null`). Keeping these as opaque text
-/// lets serve stay below net in the dependency graph.
+/// Transport-owned telemetry spliced into an "ops" reply as pre-rendered
+/// JSON text. Keeping these opaque lets serve stay below net in the
+/// dependency graph.
 struct OpsExtras {
-  std::string shedder_json;  ///< Shedder state object, or "".
-  std::string flight_json;   ///< FlightRecorder::DumpJson(), or "".
+  std::string shedder_json;  ///< Shedder state object.
+  std::string flight_json;   ///< FlightRecorder::DumpJson().
 };
 
 /// Formats one "ops" reply for the given (already validated) view.
 std::string FormatOpsResponse(int64_t id, const std::string& view,
                               const InferenceServer& server,
                               const OpsExtras& extras);
-
-/// Runs the NDJSON session: reads requests from `in`, submits "select"
-/// ops to `server` (concurrently, responses are written in submission
-/// order), and answers control ops inline. Returns when "quit" or EOF
-/// is seen and every accepted request has been answered. Does NOT stop
-/// the server; the caller owns its lifecycle.
-Status RunServeLoop(std::istream& in, std::ostream& out,
-                    InferenceServer& server);
 
 }  // namespace kdsel::serve
 

@@ -66,19 +66,6 @@ void InferenceServer::Stop() {
   workers_.clear();
 }
 
-StatusOr<std::future<StatusOr<SelectResponse>>> InferenceServer::Submit(
-    SelectRequest request) {
-  // Promise-backed shim over the callback path. The shared_ptr keeps the
-  // promise alive inside the copyable std::function.
-  auto state = std::make_shared<std::promise<StatusOr<SelectResponse>>>();
-  std::future<StatusOr<SelectResponse>> future = state->get_future();
-  KDSEL_RETURN_NOT_OK(SubmitAsync(
-      std::move(request), [state](StatusOr<SelectResponse> response) {
-        state->set_value(std::move(response));
-      }));
-  return future;
-}
-
 Status InferenceServer::AdmitLocked(const SelectRequest& request)
     KDSEL_REQUIRES(submit_mu_) {
   if (request.selector.empty()) {
@@ -93,21 +80,6 @@ Status InferenceServer::AdmitLocked(const SelectRequest& request)
         "submission queue full (" + std::to_string(options_.queue_capacity) +
         " requests)");
   }
-  return Status::OK();
-}
-
-Status InferenceServer::SubmitAsync(SelectRequest request, DoneCallback done) {
-  Pending pending;
-  pending.request = std::move(request);
-  pending.done = std::move(done);
-  pending.submit_time = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    KDSEL_RETURN_NOT_OK(AdmitLocked(pending.request));
-    submit_queue_.push_back(std::move(pending));
-  }
-  stats_.RecordSubmitted();
-  submit_cv_.notify_all();
   return Status::OK();
 }
 
@@ -138,11 +110,6 @@ void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
     submit_cv_.notify_all();
   }
   for (auto& [done, status] : failed) done(status);
-}
-
-StatusOr<SelectResponse> InferenceServer::Run(SelectRequest request) {
-  KDSEL_ASSIGN_OR_RETURN(auto future, Submit(std::move(request)));
-  return future.get();
 }
 
 void InferenceServer::PushBatch(Batch batch) {
@@ -322,7 +289,8 @@ void InferenceServer::ProcessBatch(
   const Clock::time_point select_end = Clock::now();
   const double select_us = ToUs(select_end - select_begin);
   stats_.RecordRows(row_of.size(), unique_rows.size());
-  stats_.RecordVariantRequests(selector.IsInt8(), batch.items.size());
+  const bool int8 = selector.IsInt8();
+  stats_.RecordVariantRequests(int8, batch.items.size());
 
   for (size_t i = 0; i < batch.items.size(); ++i) {
     Pending& item = batch.items[i];
@@ -346,6 +314,7 @@ void InferenceServer::ProcessBatch(
 
     SelectResponse response;
     response.num_windows = selection->num_windows;
+    response.int8 = int8;
     const Clock::time_point detect_begin = Clock::now();
     if (detect) {
       auto detected =

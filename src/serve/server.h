@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,13 +68,14 @@ struct SelectResponse {
   core::DetectionResult result;  ///< scores/auc empty when !run_detection.
   size_t num_windows = 0;
   RequestTiming timing;
+  bool int8 = false;  ///< The serving selector runs int8 inference.
 };
 
 /// A long-lived, concurrent wrapper around the KDSelector pipeline.
 ///
 /// Architecture (see src/serve/README.md):
 ///
-///   Submit() -> bounded submission queue -> batcher thread ->
+///   SubmitBatch() -> bounded submission queue -> batcher thread ->
 ///   per-selector micro-batches -> batch queue -> worker pool
 ///
 /// The batcher groups concurrent requests addressed to the same selector
@@ -108,16 +108,10 @@ class InferenceServer {
   /// performs the shutdown, the rest return immediately.
   void Stop();
 
-  /// Enqueues a request. Fails fast with ResourceExhausted when the
-  /// submission queue is full (backpressure) and with FailedPrecondition
-  /// when the server is stopped.
-  /// The future resolves when a worker finishes the request.
-  StatusOr<std::future<StatusOr<SelectResponse>>> Submit(SelectRequest request);
-
-  /// Completion callback for the async submission path. Invoked exactly
-  /// once per request, from a worker thread (or from the submitting
-  /// thread when admission fails synchronously). Must not block: the
-  /// net layer's callbacks hand the formatted response to an epoll shard
+  /// Completion callback of a submitted request. Invoked exactly once
+  /// per request, from a worker thread (or from the submitting thread
+  /// when admission fails synchronously). Must not block: the net
+  /// layer's callbacks hand the formatted response to an epoll shard
   /// and return.
   using DoneCallback = std::function<void(StatusOr<SelectResponse>)>;
 
@@ -127,20 +121,14 @@ class InferenceServer {
     DoneCallback done;
   };
 
-  /// Callback flavor of Submit for event-loop callers that cannot park a
-  /// thread on a future.
-  Status SubmitAsync(SelectRequest request, DoneCallback done);
-
-  /// Batched hand-off: admits every item under ONE submission-queue lock
-  /// acquisition (an epoll shard submits everything parsed in one wake
-  /// cycle together). Items that cannot be admitted (ResourceExhausted
-  /// when the queue is full, FailedPrecondition once stopped) have `done`
-  /// invoked synchronously with the error; the rest resolve from worker
-  /// threads. Every `done` is invoked exactly once.
+  /// The one submission path: admits every item under ONE
+  /// submission-queue lock acquisition (an epoll shard submits
+  /// everything parsed in one wake cycle together). Items that cannot be
+  /// admitted (InvalidArgument without a selector name, ResourceExhausted
+  /// when the queue is full, FailedPrecondition when the server is not
+  /// running) have `done` invoked synchronously with the error; the rest
+  /// resolve from worker threads. Every `done` is invoked exactly once.
   void SubmitBatch(std::vector<AsyncItem> items);
-
-  /// Convenience: Submit + wait.
-  StatusOr<SelectResponse> Run(SelectRequest request);
 
   ServerStats& stats() { return stats_; }
   const ServerStats& stats() const { return stats_; }

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,9 +21,14 @@
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "serve_test_util.h"
 
 namespace kdsel::net {
 namespace {
+
+using serve_test::Lines;
+using serve_test::RunAdoptedSession;
+using serve_test::SessionFds;
 
 // ---------------------------------------------------------------------------
 // Shedder state machine (deterministic, fake clock: time is just the
@@ -151,6 +157,19 @@ TEST(PeekTest, ToleratesWhitespace) {
       PeekRequestLine(R"({ "op" : "stats" , "id" : 19 })");
   EXPECT_FALSE(peek.is_select);
   EXPECT_EQ(peek.id, 19);
+}
+
+// Longer ids would overflow the int64_t accumulator: past 18 digits the
+// peek treats the id as absent.
+TEST(PeekTest, IdLongerThan18DigitsIsAbsent) {
+  EXPECT_EQ(PeekRequestLine(R"({"id":123456789012345678})").id,
+            123456789012345678);
+  EXPECT_EQ(PeekRequestLine(R"({"id":-123456789012345678})").id,
+            -123456789012345678);
+  const LinePeek peek =
+      PeekRequestLine(R"({"id":1234567890123456789012345,"op":"bogus"})");
+  EXPECT_EQ(peek.id, -1);
+  EXPECT_FALSE(peek.is_select);
 }
 
 TEST(PeekTest, IgnoresNestedLookalikeKeys) {
@@ -295,6 +314,21 @@ struct LoopbackServer {
   std::unique_ptr<serve::InferenceServer> server;
   std::unique_ptr<NetServer> net;
 };
+
+// An empty listen address means "serve only the adopted fd pair"; with
+// nothing adopted there is nothing to serve, so Start() must refuse it
+// (`kdsel serve --listen` given without a value lands here).
+TEST(NetServerTest, EmptyListenWithNothingAdoptedIsRejected) {
+  serve::SelectorRegistry registry(
+      core::SelectorManager("/nonexistent-net-test"));
+  serve::InferenceServer server(&registry, serve::ServerOptions{});
+  NetServerOptions options;
+  options.listen = "";
+  NetServer net(&server, options);
+  const Status started = net.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << started;
+  EXPECT_EQ(net.adopted_done_fd(), -1);
+}
 
 TEST(NetServerTest, SelectRoundTripOverLoopback) {
   LoopbackServer loopback;
@@ -624,6 +658,259 @@ TEST(NetServerTest, OpsFlightAndPrometheusViewsOverTheWire) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_FALSE(reply->GetBool("ok", true));
   EXPECT_EQ(reply->GetNumber("id", -1), 7);
+}
+
+// A lazily formatted "ops" reply must count every reply released ahead
+// of it, including the selects that leave in the same flush.
+TEST(NetServerTest, OpsCountsEveryReplyBeforeIt) {
+  LoopbackServer loopback;
+  TestClient client(loopback.net->port());
+  constexpr int kSelects = 4;
+  for (int trial = 0; trial < 5; ++trial) {
+    obs::MetricsRegistry::Global().ResetValuesForTesting();
+    std::string burst;
+    for (int i = 0; i < kSelects; ++i) burst += SelectLine(i) + "\n";
+    client.Send(burst + R"({"op":"ops","id":99})");
+    for (int i = 0; i < kSelects; ++i) ASSERT_FALSE(client.ReadLine().empty());
+    auto reply = serve::Json::Parse(client.ReadLine());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const serve::Json* metrics = reply->Find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const serve::Json* e2e = metrics->Find("histograms")->Find("kdsel.net.e2e");
+    ASSERT_NE(e2e, nullptr);
+    EXPECT_EQ(e2e->GetNumber("count", -1), kSelects) << "trial " << trial;
+  }
+}
+
+/// Server side of one fd-pair or TCP session: a registry over `dir`
+/// (tiny + tiny.int8 on disk) and an InferenceServer, both fresh.
+struct SessionServer {
+  explicit SessionServer(const std::string& dir, serve::ServerOptions opts = {})
+      : registry(core::SelectorManager(dir)) {
+    opts.num_workers = 2;
+    server = std::make_unique<serve::InferenceServer>(&registry, opts);
+    KDSEL_CHECK(server->Start().ok());
+  }
+  ~SessionServer() { server->Stop(); }
+
+  serve::SelectorRegistry registry;
+  std::unique_ptr<serve::InferenceServer> server;
+};
+
+/// Saves a tiny selector and its int8 sibling into a fresh directory.
+std::string SaveTinyPair(const std::string& name) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::filesystem::remove_all(dir);
+  core::SelectorManager manager(dir);
+  auto trained = TrainTinySelector();
+  std::vector<std::vector<float>> calibration;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<float> w(16);
+    for (size_t t = 0; t < 16; ++t) {
+      w[t] = std::sin((0.3 + 0.9 * (i % 2)) * static_cast<double>(t));
+    }
+    calibration.push_back(std::move(w));
+  }
+  auto quantized = trained->QuantizeInt8(calibration);
+  KDSEL_CHECK(quantized.ok());
+  KDSEL_CHECK(manager.Save(*trained, "tiny").ok());
+  KDSEL_CHECK(manager.Save(**quantized, "tiny.int8").ok());
+  return dir;
+}
+
+/// Sends `input` over one loopback connection and returns everything
+/// read back until the server closes it.
+std::string RunTcpSession(NetServer& net, const std::string& input) {
+  TestClient client(net.port());
+  std::string payload = input;
+  payload.pop_back();  // Send() appends the final '\n'.
+  client.Send(payload);
+  std::string output;
+  for (std::string line; !(line = client.ReadLine()).empty();) {
+    output += line + "\n";
+  }
+  return output;
+}
+
+/// Drops the per-request timing fields, the only reply bytes that
+/// depend on scheduling.
+std::string StripTimings(std::string output) {
+  for (const char* key :
+       {"queue_us", "select_us", "detect_us", "total_us", "batch_size"}) {
+    const std::string needle = std::string(",\"") + key + "\":";
+    for (size_t pos; (pos = output.find(needle)) != std::string::npos;) {
+      output.erase(pos, output.find_first_of(",}", pos + 1) - pos);
+    }
+  }
+  return output;
+}
+
+// One golden session gives byte-identical replies over an adopted fd
+// pair (the stdin transport) and over TCP, each on a fresh server.
+TEST(NetServerTest, GoldenSessionIsIdenticalOverFdPairAndTcp) {
+  const std::string dir = SaveTinyPair("kdsel_net_golden");
+  std::string values = "[", labels = "[";
+  for (int i = 0; i < 64; ++i) {
+    if (i > 0) {
+      values += ',';
+      labels += ',';
+    }
+    values += std::to_string(std::sin(0.4 * i));
+    labels += (i >= 40 && i < 44) ? '1' : '0';
+  }
+  values += "]";
+  labels += "]";
+  const std::string series = R"("selector":"tiny","values":)" + values;
+  const std::string input =
+      R"({"op":"list","id":1})" "\n"
+      R"({"op":"select","id":2,)" + series + "}\n" +
+      R"({"op":"select","id":3,"variant":"int8",)" + series + "}\n" +
+      R"({"op":"select","id":4,"scores":true,"labels":)" + labels + "," +
+      series + "}\n" +
+      R"({"op":"select","id":5,"detect":false,)" + series + "}\n" +
+      "this is not json\n"
+      R"({"op":"frobnicate","id":6})" "\n"
+      R"({"op":"reload","id":7,"selector":"tiny"})" "\n"
+      R"({"op":"reload","id":8,"selector":"ghost"})" "\n"
+      R"({"op":"quit"})" "\n";
+
+  std::string over_fds;
+  {
+    SessionServer session(dir);
+    over_fds = RunAdoptedSession(*session.server, input).output;
+  }
+  std::string over_tcp;
+  {
+    SessionServer session(dir);
+    NetServerOptions opts;
+    opts.listen = "127.0.0.1:0";
+    NetServer net(session.server.get(), opts);
+    ASSERT_TRUE(net.Start().ok());
+    over_tcp = RunTcpSession(net, input);
+    net.Stop();
+  }
+  std::filesystem::remove_all(dir);
+
+  const std::vector<std::string> lines = Lines(over_fds);
+  ASSERT_EQ(lines.size(), 9u) << over_fds;
+  for (size_t i : {1, 2, 3, 4}) {
+    auto reply = serve::Json::Parse(lines[i]);
+    ASSERT_TRUE(reply.ok()) << lines[i];
+    EXPECT_TRUE(reply->GetBool("ok", false)) << lines[i];
+  }
+  EXPECT_NE(lines[3].find("\"auc_pr\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"scores\""), std::string::npos);
+  EXPECT_EQ(StripTimings(over_fds), StripTimings(over_tcp));
+}
+
+// stdin is a full connection: trace ids, stage histograms, the shedder
+// and the flight recorder all cover it.
+TEST(NetServerTest, AdoptedSessionOpsShowsStagesShedderAndFlight) {
+  obs::MetricsRegistry::Global().ResetValuesForTesting();
+  LoopbackServer loopback;
+  const std::string input = TracedSelectLine(1, "st-1") + "\n" +
+                            TracedSelectLine(2, "st-2") + "\n" +
+                            SelectLine(3) + "\n" +
+                            R"({"op":"ops","id":4})" "\n"
+                            R"({"op":"ops","id":5,"view":"flight"})" "\n";
+  const std::vector<std::string> lines =
+      Lines(RunAdoptedSession(*loopback.server, input).output);
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_NE(lines[2].find("\"trace\":\"s0-1\""), std::string::npos)
+      << lines[2];
+
+  auto snapshot = serve::Json::Parse(lines[3]);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const serve::Json* shedder = snapshot->Find("shedder");
+  ASSERT_NE(shedder, nullptr);
+  EXPECT_TRUE(shedder->is_object());
+  const serve::Json* histograms =
+      snapshot->Find("metrics")->Find("histograms");
+  for (const char* name :
+       {"kdsel.net.stage.queue", "kdsel.net.stage.batch_wait",
+        "kdsel.net.stage.compute", "kdsel.net.stage.write", "kdsel.net.e2e"}) {
+    const serve::Json* hist = histograms->Find(name);
+    ASSERT_NE(hist, nullptr) << name;
+    EXPECT_EQ(hist->GetNumber("count", -1), 3) << name;
+  }
+
+  auto flight = serve::Json::Parse(lines[4]);
+  ASSERT_TRUE(flight.ok()) << flight.status();
+  std::vector<std::string> traces;
+  for (const serve::Json& record :
+       flight->Find("flight")->Find("recent")->items()) {
+    traces.push_back(record.GetString("trace", ""));
+  }
+  EXPECT_EQ(traces, (std::vector<std::string>{"st-1", "st-2", "s0-1"}));
+}
+
+// Precision comes from the model that served the request, not from a
+// name suffix: a quantized selector registered as "plain" is int8.
+TEST(NetServerTest, FlightRecordsPrecisionOfTheServingModel) {
+  LoopbackServer loopback;
+  std::vector<std::vector<float>> calibration(4, std::vector<float>(16));
+  for (size_t i = 0; i < calibration.size(); ++i) {
+    for (size_t t = 0; t < 16; ++t) {
+      calibration[i][t] = std::sin((0.3 + 0.9 * (i % 2)) * t);
+    }
+  }
+  auto quantized = TrainTinySelector()->QuantizeInt8(calibration);
+  ASSERT_TRUE(quantized.ok()) << quantized.status();
+  ASSERT_TRUE(
+      loopback.registry->Register("plain", std::move(quantized).value()).ok());
+  std::string line = TracedSelectLine(1, "q-1");
+  line.replace(line.find("\"tiny\""), 6, "\"plain\"");
+  const std::vector<std::string> lines = Lines(
+      RunAdoptedSession(*loopback.server,
+                        line + "\n" + TracedSelectLine(2, "f-1") + "\n" +
+                            R"({"op":"ops","id":3,"view":"flight"})" "\n")
+          .output);
+  ASSERT_EQ(lines.size(), 3u);
+  auto flight = serve::Json::Parse(lines[2]);
+  ASSERT_TRUE(flight.ok()) << flight.status();
+  const auto& recent = flight->Find("flight")->Find("recent")->items();
+  ASSERT_GE(recent.size(), 2u);
+  EXPECT_EQ(recent[recent.size() - 2].GetString("trace", ""), "q-1");
+  EXPECT_EQ(recent[recent.size() - 2].GetString("variant", ""), "int8");
+  EXPECT_EQ(recent.back().GetString("trace", ""), "f-1");
+  EXPECT_EQ(recent.back().GetString("variant", ""), "fp32");
+}
+
+// 500 selects read in one go from a regular file or through a pipe all
+// come back ok and in order, also when the submission queue holds only
+// 8 and the input is many times the line cap: the connection pauses
+// instead of overflowing either. The adopted fds stay open and keep
+// their flags.
+TEST(NetServerTest, AdoptedInputFromFileOrPipeIsThrottledNotShed) {
+  constexpr int kSelects = 500;
+  std::string input;
+  for (int i = 0; i < kSelects; ++i) input += SelectLine(i) + "\n";
+  for (const bool small : {false, true}) {
+    for (const SessionFds kind : {SessionFds::kFiles, SessionFds::kPipes}) {
+      serve::ServerOptions opts;
+      NetServerOptions net_opts;
+      if (small) {
+        opts.queue_capacity = 8;
+        net_opts.max_line_bytes = 4096;
+        ASSERT_GT(input.size(), 10 * net_opts.max_line_bytes);
+      }
+      LoopbackServer loopback({}, opts);
+      const auto session =
+          RunAdoptedSession(*loopback.server, input, kind, net_opts);
+      const std::vector<std::string> lines = Lines(session.output);
+      ASSERT_EQ(lines.size(), static_cast<size_t>(kSelects));
+      for (int i = 0; i < kSelects; ++i) {
+        auto reply = serve::Json::Parse(lines[static_cast<size_t>(i)]);
+        ASSERT_TRUE(reply.ok()) << lines[static_cast<size_t>(i)];
+        ASSERT_TRUE(reply->GetBool("ok", false))
+            << lines[static_cast<size_t>(i)];
+        ASSERT_EQ(reply->GetNumber("id", -1), i);
+      }
+      EXPECT_TRUE(session.fds_untouched);
+      EXPECT_EQ(loopback.server->stats().shed(), 0u);
+    }
+  }
 }
 
 }  // namespace

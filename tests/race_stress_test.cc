@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,6 +41,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/stats.h"
+#include "serve_test_util.h"
 
 namespace kdsel::serve {
 namespace {
@@ -201,7 +203,7 @@ TEST(RaceStressTest, StatsExportRacesInferenceAndReload) {
         request.selector = "tiny";
         request.series = series;
         request.run_detection = false;
-        auto response = server.Run(std::move(request));
+        auto response = serve_test::RunRequest(server, std::move(request));
         if (!response.ok()) failures.fetch_add(1);
       }
     });
@@ -280,7 +282,7 @@ TEST(RaceStressTest, Int8VariantServesAndReloadsConcurrentlyWithFp32) {
         request.selector = (c % 2 == 0) ? "tiny" : "tiny.int8";
         request.series = series;
         request.run_detection = false;
-        auto response = server.Run(std::move(request));
+        auto response = serve_test::RunRequest(server, std::move(request));
         if (!response.ok()) failures.fetch_add(1);
       }
     });
@@ -319,9 +321,7 @@ TEST(RaceStressTest, ConcurrentStopIsIdempotent) {
       request.selector = "tiny";
       request.series = series;
       request.run_detection = false;
-      auto submitted = server.Submit(std::move(request));
-      ASSERT_TRUE(submitted.ok()) << submitted.status();
-      futures.push_back(std::move(submitted).value());
+      futures.push_back(serve_test::SubmitOne(server, std::move(request)));
     }
 
     std::vector<std::thread> stoppers;  // kdsel-lint: allow(raw-thread)

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <sstream>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -16,9 +16,15 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/stats.h"
+#include "serve_test_util.h"
 
 namespace kdsel::serve {
 namespace {
+
+using serve_test::Lines;
+using serve_test::RunAdoptedSession;
+using serve_test::RunRequest;
+using serve_test::SubmitOne;
 
 /// Trains a small ConvNet selector on separable synthetic windows.
 std::unique_ptr<core::TrainedSelector> TrainTinySelector(
@@ -210,7 +216,7 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
     SelectRequest request;
     request.selector = "tiny";
     request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
-    EXPECT_FALSE(server.Submit(std::move(request)).ok());
+    EXPECT_FALSE(RunRequest(server, std::move(request)).ok());
   }
   {
     ServerOptions bad;
@@ -223,12 +229,12 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
     ASSERT_TRUE(server.Start().ok());
     SelectRequest request;  // Empty selector name.
     request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
-    EXPECT_FALSE(server.Submit(std::move(request)).ok());
+    EXPECT_FALSE(RunRequest(server, std::move(request)).ok());
     // Unknown selector: accepted, resolves to NotFound.
     SelectRequest unknown;
     unknown.selector = "ghost";
     unknown.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
-    auto response = server.Run(std::move(unknown));
+    auto response = RunRequest(server, std::move(unknown));
     EXPECT_FALSE(response.ok());
     server.Stop();
     EXPECT_EQ(server.stats().failed(), 1u);
@@ -310,7 +316,7 @@ TEST(InferenceServerTest, MatchesSequentialPipelineByteForByte) {
         SelectRequest request;
         request.selector = "tiny";
         request.series = series[idx];
-        auto response = server.Run(std::move(request));
+        auto response = RunRequest(server, std::move(request));
         if (!response.ok()) {
           failures.fetch_add(1);
           continue;
@@ -396,7 +402,7 @@ TEST(InferenceServerTest, HotReloadDuringInFlightRequestsIsRaceFree) {
         request.selector = "tiny";
         request.series = series[idx];
         request.run_detection = false;  // Selection-only: exercises batching.
-        auto response = server.Run(std::move(request));
+        auto response = RunRequest(server, std::move(request));
         if (!response.ok()) {
           failures.fetch_add(1);
         } else if (response->result.votes != reference_votes[idx]) {
@@ -436,9 +442,7 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
     request.selector = "tiny";
     request.series = series;
     request.run_detection = false;
-    auto submitted = server.Submit(std::move(request));
-    ASSERT_TRUE(submitted.ok()) << submitted.status();
-    futures.push_back(std::move(submitted).value());
+    futures.push_back(SubmitOne(server, std::move(request)));
   }
   for (auto& f : futures) {
     auto response = f.get();
@@ -491,6 +495,24 @@ TEST(ProtocolTest, ParseRequestLineValidatesInput) {
           .ok());
 }
 
+// JSON ids are doubles: one past +-2^53 is not exact, one past int64_t
+// would make the conversion undefined. Both are rejected under id -1.
+TEST(ProtocolTest, IdOutsideDoublePrecisionIsRejected) {
+  for (const std::string line :
+       {R"({"op":"list","id":1e30})",
+        R"({"id":1234567890123456789012345,"op":"bogus"})",
+        R"({"op":"list","id":-9007199254740994})"}) {
+    int64_t error_id = 0;
+    auto parsed = ParseRequestLine(line, &error_id);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(error_id, -1) << line;
+  }
+  auto edge = ParseRequestLine(R"({"op":"list","id":9007199254740992})");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->id, int64_t{1} << 53);
+}
+
 TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "kdsel_proto_dir").string();
@@ -514,7 +536,7 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   }
   values += "]";
 
-  std::istringstream in(
+  const std::string in =
       R"({"op":"list","id":1})"
       "\n"
       R"({"op":"select","id":2,"selector":"tiny","values":)" +
@@ -529,14 +551,10 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
       R"({"op":"stats","id":5})"
       "\n"
       R"({"op":"quit"})"
-      "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+      "\n";
+  const std::vector<std::string> lines =
+      Lines(RunAdoptedSession(server, in).output);
   server.Stop();
-
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 6u);
 
   auto list_reply = Json::Parse(lines[0]);
@@ -594,7 +612,7 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
   }
   values += "]";
 
-  std::istringstream in(
+  const std::string in =
       std::string("not json at all\n") +                         // -> id -1
       R"({"op":"select","id":41,"selector":"tiny","values":[]})" // -> id 41
       "\n"
@@ -604,14 +622,10 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
       R"(,"detect":false})"
       "\n"
       R"({"op":"quit"})"
-      "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+      "\n";
+  const std::vector<std::string> lines =
+      Lines(RunAdoptedSession(server, in).output);
   server.Stop();
-
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 4u);
 
   auto garbage = Json::Parse(lines[0]);
@@ -669,21 +683,17 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
   const std::string base =
       R"("selector":"tiny","values":)" + values + R"(,"detect":false)";
 
-  std::istringstream in(
+  const std::string in =
       R"({"op":"select","id":1,)" + base + "}\n" +
       R"({"op":"select","id":2,"variant":"int8",)" + base + "}\n" +
       R"({"op":"select","id":3,"variant":"fp32",)" + base + "}\n" +
       R"({"op":"select","id":4,"variant":"int4",)" + base + "}\n" +
       R"({"op":"reload","id":5,"selector":"tiny.int8"})" "\n" +
       R"({"op":"stats","id":6})" "\n" +
-      R"({"op":"quit"})" "\n");
-  std::ostringstream out;
-  ASSERT_TRUE(RunServeLoop(in, out, server).ok());
+      R"({"op":"quit"})" "\n";
+  const std::vector<std::string> lines =
+      Lines(RunAdoptedSession(server, in).output);
   server.Stop();
-
-  std::vector<std::string> lines;
-  std::istringstream reread(out.str());
-  for (std::string line; std::getline(reread, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 6u);
 
   // Default, explicit-fp32 and int8 routes all serve successfully.

@@ -25,13 +25,14 @@ bench_serving: every row must carry the latency percentiles
 overload* must actually have shed requests -- an overload run that
 sheds nothing means the SLO admission path silently stopped firing.
 
-`--profile ops` validates a live-telemetry snapshot saved from
-`kdsel ops --connect HOST:PORT` (one NDJSON reply line). The envelope
-must be ok:true with stats (including shed/shed_rate), a shedder
-object, and a metrics snapshot where every per-stage request histogram
-(kdsel.net.stage.* and kdsel.net.e2e) is present AND non-empty: a
-stage histogram with zero samples under load means the request-tracing
-path silently stopped stamping that stage.
+`--profile ops` validates a live-telemetry snapshot: one `ops` reply
+line, from `kdsel ops --connect HOST:PORT` or from an inline
+{"op":"ops"} in a `kdsel serve` stdin session (both transports answer
+it alike). The envelope must be ok:true with stats (including
+shed/shed_rate), a shedder object, and a metrics snapshot where every
+per-stage request histogram (kdsel.net.stage.* and kdsel.net.e2e) is
+present AND non-empty: a stage histogram with zero samples under load
+means the request-tracing path silently stopped stamping that stage.
 
 Usage: check_metrics_snapshot.py [--profile micro|stream] METRICS_x.json
        check_metrics_snapshot.py --profile kernels BENCH_kernels.json
@@ -216,8 +217,9 @@ def check_ops_snapshot(path, snapshot):
     shedder = snapshot.get("shedder")
     if not isinstance(shedder, dict):
         errors.append(
-            f"{path}: missing 'shedder' object (stdin-mode snapshots have "
-            "no shedder; scrape a TCP server via `kdsel ops --connect`)"
+            f"{path}: missing 'shedder' object (an ops reply carries one "
+            "on every transport; its absence means the snapshot path "
+            "regressed)"
         )
     else:
         for key in ("state", "window_p99_us", "transitions", "shed"):

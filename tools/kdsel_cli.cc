@@ -385,12 +385,14 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr,
                  "usage: kdsel serve --dir SELECTOR_DIR [--workers 4]"
                  " [--max-batch 8] [--max-delay-us 1000]\n"
-                 "             [--queue 1024] [--seed 42] [--preload]\n"
-                 "             [--listen HOST:PORT [--shards 1]"
-                 " [--slo-ms 0]]\n"
-                 "speaks newline-delimited JSON on stdin/stdout by default;"
-                 " --listen serves the same\n"
-                 "protocol over TCP with SLO-aware load shedding;"
+                 "             [--queue 1024] [--seed 42] [--preload]"
+                 " [--slo-ms 0]\n"
+                 "             [--listen HOST:PORT [--shards 1]]\n"
+                 "speaks newline-delimited JSON on stdin/stdout by default"
+                 " (an inline {\"op\":\"ops\"}\n"
+                 "returns live telemetry); --listen serves the same protocol"
+                 " over TCP; --slo-ms\n"
+                 "turns on SLO-aware load shedding for either transport;"
                  " see README section 'kdsel serve'\n");
     return 2;
   }
@@ -417,55 +419,48 @@ int CmdServe(const Flags& flags) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
 
-  // SIGINT/SIGTERM drain in-flight requests and print final stats in
-  // both transports instead of killing the process mid-reply.
+  // SIGINT/SIGTERM drain in-flight requests and print final stats
+  // instead of killing the process mid-reply.
   Status handlers = net::InstallShutdownHandlers();
   if (!handlers.ok()) return Fail(handlers);
 
-  if (flags.Has("listen")) {
-    net::NetServerOptions net_opts;
-    net_opts.listen = flags.Get("listen", "127.0.0.1:7070");
-    net_opts.shards = static_cast<size_t>(flags.GetInt("shards", 1));
-    net_opts.slo_ms = flags.GetDouble("slo-ms", 0.0);
-    net::NetServer net(&server, net_opts);
-    Status listening = net.Start();
-    if (!listening.ok()) {
-      server.Stop();
-      return Fail(listening);
-    }
-    std::fprintf(stderr,
-                 "kdsel serve: listening on %s port %u, %zu shards,"
-                 " slo %.3f ms, %zu workers, max_batch %zu\n",
-                 net_opts.listen.c_str(), net.port(), net_opts.shards,
-                 net_opts.slo_ms, opts.num_workers, opts.max_batch);
-    net::WaitForShutdownSignal();
-    std::fprintf(stderr, "kdsel serve: shutdown signal, draining\n");
-    net.Stop();  // Flushes in-flight replies before workers stop.
+  // One serve path for both transports: without --listen, stdin/stdout
+  // is the only connection of a one-shard NetServer with no listening
+  // socket.
+  const bool tcp = flags.Has("listen");
+  net::NetServerOptions net_opts;
+  net_opts.listen = tcp ? flags.Get("listen", "127.0.0.1:7070") : "";
+  net_opts.shards = tcp ? static_cast<size_t>(flags.GetInt("shards", 1)) : 1;
+  net_opts.slo_ms = flags.GetDouble("slo-ms", 0.0);
+  net::NetServer net(&server, net_opts);
+  Status serving = tcp ? Status::OK() : net.Adopt(STDIN_FILENO, STDOUT_FILENO);
+  if (serving.ok()) serving = net.Start();
+  if (!serving.ok()) {
     server.Stop();
-    std::fprintf(stderr,
-                 "kdsel serve: shed %llu (rate %.4f), final stats %s\n",
-                 static_cast<unsigned long long>(net.shedder().shed_count()),
-                 server.stats().ShedRate(),
-                 server.stats().ToJsonString().c_str());
-    return 0;
+    return Fail(serving);
   }
-
+  if (tcp) {
+    std::fprintf(stderr, "kdsel serve: listening on %s port %u, %zu shards,",
+                 net_opts.listen.c_str(), net.port(), net_opts.shards);
+  } else {
+    std::fprintf(stderr, "kdsel serve: reading NDJSON from stdin,");
+  }
   std::fprintf(stderr,
-               "kdsel serve: %zu workers, max_batch %zu, max_delay %lld us,"
-               " queue %zu — reading NDJSON from stdin\n",
-               opts.num_workers, opts.max_batch,
+               " slo %.3f ms, %zu workers, max_batch %zu, max_delay %lld us,"
+               " queue %zu\n",
+               net_opts.slo_ms, opts.num_workers, opts.max_batch,
                static_cast<long long>(opts.max_delay_us), opts.queue_capacity);
 
-  // Handlers installed without SA_RESTART: a signal pops std::getline out
-  // of its blocking read with eof set, so the loop drains and returns.
-  Status session = serve::RunServeLoop(std::cin, std::cout, server);
-  server.Stop();
+  net::WaitForShutdownSignal(net.adopted_done_fd());
   if (net::ShutdownRequested()) {
-    std::fprintf(stderr, "kdsel serve: shutdown signal, drained\n");
+    std::fprintf(stderr, "kdsel serve: shutdown signal, draining\n");
   }
-  std::fprintf(stderr, "kdsel serve: final stats %s\n",
+  net.Stop();  // Flushes in-flight replies before workers stop.
+  server.Stop();
+  std::fprintf(stderr, "kdsel serve: shed %llu (rate %.4f), final stats %s\n",
+               static_cast<unsigned long long>(net.shedder().shed_count()),
+               server.stats().ShedRate(),
                server.stats().ToJsonString().c_str());
-  if (!session.ok()) return Fail(session);
   return 0;
 }
 
@@ -785,7 +780,7 @@ void PrintUsage() {
       "  train      learn a selector (optionally +PISL/+MKI/+PA) and save\n"
       "  list       list saved selectors\n"
       "  detect     select a model for a series and run the detection\n"
-      "  serve      long-lived inference server (NDJSON on stdin/stdout)\n"
+      "  serve      long-lived inference server (NDJSON, stdin/stdout or TCP)\n"
       "  ops        fetch live telemetry from a running TCP server\n"
       "  stream     online scorer: incremental features + drift-triggered"
       " re-selection\n"
