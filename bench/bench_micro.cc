@@ -10,7 +10,8 @@
 // `bench_micro --report-kernels` times every compiled SIMD kernel
 // variant (scalar, generic, avx2 where supported) on a 256^3 MatMul, a
 // 256^3 int8 matmul, a Conv1d forward, and an end-to-end selector
-// forward (fp32 vs int8) at 1, 2 and 4 threads, writing
+// forward (fp32 vs int8) at 1, 2 and 4 threads, plus one single-thread
+// inference row per ConvNet conv layer shape and precision, writing
 // BENCH_kernels.json with per-entry `speedup_vs_scalar` metrics (and
 // `speedup_vs_fp32` on the int8 rows).
 
@@ -24,8 +25,11 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_report.h"
 #include "common/parallel.h"
@@ -326,6 +330,35 @@ int RunKernelsReportMode() {
   const std::vector<float> act_scales = nn::CollectActivationScales(qlayers);
   for (nn::Quantizable* q : qlayers) q->ClearQuantization();
 
+  // ConvNet's three conv layers at inference (B = 16 windows of 64),
+  // each as an fp32 layer and an int8 twin with the same weights.
+  struct ConvLayerBench {
+    const char* shape;
+    size_t c_in, c_out, k;
+  };
+  const ConvLayerBench conv_layers[] = {
+      {"1x16k7", 1, 16, 7}, {"16x32k5", 16, 32, 5}, {"32x32k3", 32, 32, 3}};
+  const size_t conv_batch = 16, conv_len = 64;
+  std::vector<std::unique_ptr<nn::Conv1d>> conv_fp32, conv_int8;
+  std::vector<nn::Tensor> conv_inputs;
+  for (const ConvLayerBench& layer : conv_layers) {
+    Rng wrng(24), wrng_twin(24);
+    conv_fp32.push_back(std::make_unique<nn::Conv1d>(
+        layer.c_in, layer.c_out, layer.k, wrng, /*use_bias=*/false));
+    conv_int8.push_back(std::make_unique<nn::Conv1d>(
+        layer.c_in, layer.c_out, layer.k, wrng_twin, /*use_bias=*/false));
+    nn::Tensor input({conv_batch, layer.c_in, conv_len});
+    for (float& v : input.mutable_data()) {
+      v = static_cast<float>(rng.Normal());
+    }
+    // Weight quantization is bitwise-identical across variants, so one
+    // calibration serves every variant's int8 row.
+    conv_int8.back()->BeginQuantCalibration();
+    (void)conv_int8.back()->Forward(input, /*training=*/false);
+    conv_int8.back()->EndQuantCalibration();
+    conv_inputs.push_back(std::move(input));
+  }
+
   bench::BenchReport report("kernels");
   // Wall time of the scalar baseline, keyed "workload:threads" — scalar
   // is always SupportedVariants().front(), so baselines land first.
@@ -402,6 +435,34 @@ int RunKernelsReportMode() {
         report.Add(std::move(e));
       }
       if (threads == 1) {
+        // Per-layer conv inference, single-thread like a serve worker.
+        for (size_t i = 0; i < std::size(conv_layers); ++i) {
+          double fp32_wall = 0.0;
+          for (const bool int8 : {false, true}) {
+            nn::Conv1d& conv_layer = int8 ? *conv_int8[i] : *conv_fp32[i];
+            bench::BenchEntry e;
+            e.name = std::string(int8 ? "conv_int8_" : "conv_fp32_") +
+                     conv_layers[i].shape + ":" + tag;
+            e.threads = threads;
+            e.items = static_cast<double>(conv_batch);
+            e.items_unit = "windows";
+            e.wall_seconds = TimePerCall(3, 20, [&] {
+              benchmark::DoNotOptimize(
+                  conv_layer.Forward(conv_inputs[i], /*training=*/false));
+            });
+            const std::string key = e.name.substr(0, e.name.find(':'));
+            if (variant == nn::kernels::Variant::kScalar) {
+              scalar_wall[key] = e.wall_seconds;
+            }
+            vs_scalar(e, key);
+            if (!int8) {
+              fp32_wall = e.wall_seconds;
+            } else if (fp32_wall > 0.0 && e.wall_seconds > 0.0) {
+              e.metrics["speedup_vs_fp32"] = fp32_wall / e.wall_seconds;
+            }
+            report.Add(std::move(e));
+          }
+        }
         // End-to-end selector forward, single-thread: the serving-side
         // view of the int8 win (includes windowing-free fp32 tails).
         for (nn::Quantizable* q : qlayers) q->ClearQuantization();

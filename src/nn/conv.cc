@@ -23,6 +23,9 @@ size_t BatchGrain(size_t batch) {
   return std::max<size_t>(1, (batch + kMaxGradShards - 1) / kMaxGradShards);
 }
 
+// Int8 conv sums in float while exact: C_in*K * 127^2 < 2^24.
+constexpr size_t kMaxExactFloatTaps = 1040;
+
 }  // namespace
 
 Conv1d::Conv1d(size_t in_channels, size_t out_channels, size_t kernel_size,
@@ -44,56 +47,82 @@ std::vector<Parameter*> Conv1d::Parameters() {
 }
 
 Tensor Conv1d::Forward(const Tensor& input, bool training) {
-  KDSEL_SPAN("nn.conv1d.forward");
   KDSEL_CHECK(input.rank() == 3 && input.dim(1) == in_channels_);
+  if (!training && quantized_) return ForwardInt8(input);
+  KDSEL_SPAN("nn.conv1d.forward");
   if (training) {
     cached_input_ = input;
   } else if (calibrating_) {
     act_absmax_ = std::max(act_absmax_, AbsMax(input.raw(), input.size()));
-  } else if (quantized_) {
-    return ForwardInt8(input);
   }
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
-  const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
-  Tensor out({B, out_channels_, L});
+  Tensor out;
+  out.Resize({B, out_channels_, L});  // conv1d_forward overwrites it all
   const kernels::Ops& ops = kernels::Dispatch();
-  const float* x = input.raw();
-  const float* w = weight_.value.raw();
-  float* y = out.raw();
+  const float* bias = use_bias_ ? bias_.value.raw() : nullptr;
   // Each batch item writes a disjoint slice of `out`, so batch-parallel
-  // execution is race-free and bitwise-deterministic. Each kernel tap is
-  // an axpy over the valid [t_lo, t_hi) range of the shifted input row.
+  // execution is race-free and bitwise-deterministic.
   ParallelFor(B, 1, [&](size_t b_begin, size_t b_end) {
-  for (size_t b = b_begin; b < b_end; ++b) {
-    const float* xb = x + b * in_channels_ * L;
-    float* yb = y + b * out_channels_ * L;
-    for (size_t co = 0; co < out_channels_; ++co) {
-      float* yrow = yb + co * L;
-      const float* wco = w + co * in_channels_ * K;
-      for (size_t ci = 0; ci < in_channels_; ++ci) {
-        const float* xrow = xb + ci * L;
-        const float* wk = wco + ci * K;
-        for (size_t k = 0; k < K; ++k) {
-          const ptrdiff_t shift = static_cast<ptrdiff_t>(k) - pad;
-          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
-          const size_t t_hi =
-              shift > 0 ? L - static_cast<size_t>(shift) : L;
-          ops.axpy(yrow + t_lo, wk[k],
-                   xrow + static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) +
-                                              shift),
-                   t_hi - t_lo);
-        }
-      }
-      if (use_bias_) ops.add_scalar(yrow, bias_.value[co], L);
-    }
-  }
+    ScratchBuffer scratch(kernels::Conv1dScratchFloats(in_channels_, K, L));
+    ops.conv1d_forward(input.raw(), weight_.value.raw(), bias, out.raw(),
+                       in_channels_, out_channels_, K, L, b_begin, b_end,
+                       scratch.data());
   });
   return out;
 }
 
 Tensor Conv1d::ForwardInt8(const Tensor& input) const {
   KDSEL_SPAN("nn.conv1d.forward_int8");
+  if (in_channels_ * kernel_size_ > kMaxExactFloatTaps) {
+    return ForwardInt8Im2col(input);
+  }
+  const size_t B = input.dim(0), L = input.dim(2);
+  const size_t K = kernel_size_;
+  const size_t n = in_channels_ * L;
+  Tensor out;
+  out.Resize({B, out_channels_, L});
+  const kernels::Ops& ops = kernels::Dispatch();
+  const float* x = input.raw();
+  float* y = out.raw();
+  const float inv_scale = 1.0f / act_scale_;
+  const float* bias = use_bias_ ? bias_.value.raw() : nullptr;
+  // The fp32 conv kernel over integer-valued floats: quantize the input,
+  // widen it, and convolve it with the widened int8 weights. Every
+  // partial sum is an integer below 2^24, so the float sum is the exact
+  // int32 sum in any order, and the requantize is i8_matmul_tb's. Each
+  // batch item writes a disjoint slice of `out`, so batch-parallel
+  // execution stays race-free and bitwise-deterministic.
+  ParallelFor(B, 1, [&](size_t b_begin, size_t b_end) {
+    // Pool-backed scratch (4 int8 lanes per float slot), per chunk.
+    ScratchBuffer xq_buf((n + 3) / 4);
+    ScratchBuffer xf_buf(n);
+    ScratchBuffer scratch(kernels::Conv1dScratchFloats(in_channels_, K, L));
+    int8_t* xq = reinterpret_cast<int8_t*>(xq_buf.data());
+    float* xf = xf_buf.data();
+    for (size_t b = b_begin; b < b_end; ++b) {
+      ops.i8_quantize(x + b * n, inv_scale, xq, n);
+      for (size_t i = 0; i < n; ++i) xf[i] = static_cast<float>(xq[i]);
+      float* yb = y + b * out_channels_ * L;
+      ops.conv1d_forward(xf, weight_qf_.data(), nullptr, yb, in_channels_,
+                         out_channels_, K, L, 0, 1, scratch.data());
+      for (size_t co = 0; co < out_channels_; ++co) {
+        float* yrow = yb + co * L;
+        const float s = requant_scale_[co];
+        if (bias == nullptr) {
+          ops.scale(yrow, s, L);  // s * acc: multiplication commutes
+        } else {
+          for (size_t t = 0; t < L; ++t) {
+            yrow[t] = std::fmaf(s, yrow[t], bias[co]);
+          }
+        }
+      }
+    }
+  });
+  return out;
+}
+
+Tensor Conv1d::ForwardInt8Im2col(const Tensor& input) const {
   const size_t B = input.dim(0), L = input.dim(2);
   const size_t K = kernel_size_;
   const size_t CK = in_channels_ * K;
@@ -171,6 +200,11 @@ void Conv1d::QuantizeWithScales(const std::vector<float>& scales) {
   // exactly the im2col contraction layout.
   QuantizeWeightRows(weight_.value.raw(), out_channels_, CK, act_scale_,
                      weight_q_.data(), requant_scale_.data());
+  // Built here, never in the const forward that serving threads share.
+  weight_qf_.clear();
+  if (CK <= kMaxExactFloatTaps) {
+    weight_qf_.assign(weight_q_.begin(), weight_q_.end());
+  }
   calibrating_ = false;
   quantized_ = true;
 }
@@ -182,6 +216,8 @@ void Conv1d::ClearQuantization() {
   act_scale_ = 0.0f;
   weight_q_.clear();
   weight_q_.shrink_to_fit();
+  weight_qf_.clear();
+  weight_qf_.shrink_to_fit();
   requant_scale_.clear();
   requant_scale_.shrink_to_fit();
 }

@@ -10,10 +10,13 @@
 namespace kdsel::nn {
 
 /// 1-D convolution over [B, C_in, L] -> [B, C_out, L] with stride 1 and
-/// "same" zero padding (pad = (K-1)/2 left, K/2 right for even K).
-/// Supports int8 inference via im2col (nn/quantize.h): symmetric scales
-/// make the zero padding exact (zero-point 0), so the int8 path sees the
-/// same padded taps as fp32.
+/// "same" zero padding (pad = (K-1)/2 left, K/2 right for even K). The
+/// forward runs the `conv1d_forward` kernel (nn/kernels/kernels.h) in
+/// training and both inference precisions. Int8 inference (nn/quantize.h)
+/// feeds that kernel the quantized input and weights widened to float:
+/// symmetric scales keep the zero padding exact (zero-point 0), and while
+/// C_in*K <= 1040 every partial sum is an integer below 2^24, so the float
+/// sums equal the int32 ones. Wider layers use im2col + `i8_matmul_tb`.
 class Conv1d : public Module, public Quantizable {
  public:
   Conv1d(size_t in_channels, size_t out_channels, size_t kernel_size,
@@ -40,6 +43,8 @@ class Conv1d : public Module, public Quantizable {
 
  private:
   Tensor ForwardInt8(const Tensor& input) const;
+  // Int8 forward for layers past the exact-float bound (C_in*K > 1040).
+  Tensor ForwardInt8Im2col(const Tensor& input) const;
 
   size_t in_channels_;
   size_t out_channels_;
@@ -54,6 +59,7 @@ class Conv1d : public Module, public Quantizable {
   float act_absmax_ = 0.0f;
   float act_scale_ = 0.0f;
   std::vector<int8_t> weight_q_;      // [C_out, C_in*K]
+  std::vector<float> weight_qf_;      // weight_q_ widened; empty past 1040
   std::vector<float> requant_scale_;  // [C_out]
 };
 

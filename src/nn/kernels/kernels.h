@@ -68,6 +68,21 @@ struct Ops {
   /// sum_i gy[i] * x[i] (the weight-gradient contribution).
   float (*conv_grad_tap)(const float* gy, const float* x, float w, float* gx,
                          size_t n);
+  /// Conv1d forward, stride 1, "same" zero padding ((k-1)/2 left, k/2
+  /// right): y[b] = w * x[b] (+ bias) for batch items [b0, b1), with
+  /// x:[B, c_in, l], w:[c_out, c_in, k], y:[B, c_out, l]. Each y[b][co][t]
+  /// sums its taps in ascending (ci, tap) order starting from +0 and adds
+  /// bias[co] last (bias == nullptr drops it): per element, exactly the
+  /// operations of one `axpy` per (co, ci, tap) over the tap's valid range
+  /// followed by `add_scalar(bias)`, so every variant is bitwise-identical
+  /// to that loop built from its own axpy/add_scalar. That includes the
+  /// padded edges for finite weights, unless a fused product underflows
+  /// to -0 (kernels_vec.inc has the argument). `scratch` holds
+  /// Conv1dScratchFloats(c_in, k, l) floats owned by the caller. Overwrites
+  /// its output rows.
+  void (*conv1d_forward)(const float* x, const float* w, const float* bias,
+                         float* y, size_t c_in, size_t c_out, size_t k,
+                         size_t l, size_t b0, size_t b1, float* scratch);
 
   /// y = softmax(x) over one row of length m (max-shifted, double-
   /// accumulated normalizer; matches the original SoftmaxRows math).
@@ -103,6 +118,22 @@ struct Ops {
   /// reference loops or "i8-maddubs"); surfaced by `kdsel version`.
   const char* i8_impl;
 };
+
+/// Positions per padded input row of conv1d_forward round up to this
+/// multiple: the widest variant's position tile, so a tile that starts
+/// inside the row never reads past it.
+inline constexpr size_t kConv1dRowAlign = 16;
+
+/// Pitch of one zero-padded input row in conv1d_forward's scratch.
+inline size_t Conv1dPaddedRow(size_t k, size_t l) {
+  return (l + kConv1dRowAlign - 1) / kConv1dRowAlign * kConv1dRowAlign + k -
+         1;
+}
+
+/// Scratch floats one conv1d_forward call needs (any batch range).
+inline size_t Conv1dScratchFloats(size_t c_in, size_t k, size_t l) {
+  return c_in * Conv1dPaddedRow(k, l);
+}
 
 /// The active kernel table. Resolved once (CPUID best, overridable via
 /// KDSEL_SIMD=scalar|generic|avx2) on first use; subsequent calls are a

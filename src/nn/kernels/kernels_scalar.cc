@@ -73,7 +73,10 @@ KDSEL_HOT void Add(float* y, const float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
-KDSEL_HOT void Axpy(float* y, float a, const float* x, size_t n) {
+// Kept out of line: inlined into Conv1dForward's loop nest below it ran
+// 1.7x slower than the call the original conv made through the table.
+KDSEL_HOT __attribute__((noinline)) void Axpy(float* y, float a,
+                                              const float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
@@ -123,6 +126,39 @@ KDSEL_HOT float ConvGradTap(const float* gy, const float* x, float w, float* gx,
   return wgrad_acc;
 }
 
+// The original Conv1d::Forward loop nest: one axpy per (co, ci, tap)
+// over the tap's valid output range, then the bias. Reads no padded
+// copy, so `scratch` goes unused.
+KDSEL_HOT void Conv1dForward(const float* x, const float* w, const float* bias,
+                             float* y, size_t c_in, size_t c_out, size_t k,
+                             size_t l, size_t b0, size_t b1,
+                             float* /*scratch*/) {
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((k - 1) / 2);
+  for (size_t b = b0; b < b1; ++b) {
+    const float* xb = x + b * c_in * l;
+    float* yb = y + b * c_out * l;
+    std::fill(yb, yb + c_out * l, 0.0f);
+    for (size_t co = 0; co < c_out; ++co) {
+      float* yrow = yb + co * l;
+      const float* wco = w + co * c_in * k;
+      for (size_t ci = 0; ci < c_in; ++ci) {
+        const float* xrow = xb + ci * l;
+        const float* wk = wco + ci * k;
+        for (size_t kk = 0; kk < k; ++kk) {
+          const ptrdiff_t shift = static_cast<ptrdiff_t>(kk) - pad;
+          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
+          const size_t t_hi = shift > 0 ? l - static_cast<size_t>(shift) : l;
+          Axpy(yrow + t_lo, wk[kk],
+               xrow + static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) +
+                                          shift),
+               t_hi - t_lo);
+        }
+      }
+      if (bias != nullptr) AddScalar(yrow, bias[co], l);
+    }
+  }
+}
+
 KDSEL_HOT void SoftmaxRow(const float* x, float* y, size_t m) {
   float mx = x[0];
   for (size_t j = 1; j < m; ++j) mx = std::max(mx, x[j]);
@@ -167,6 +203,7 @@ const Ops kOps = {
     Sum,
     SquaredL2,
     ConvGradTap,
+    Conv1dForward,
     SoftmaxRow,
     AdamUpdate,
     I8Quantize,

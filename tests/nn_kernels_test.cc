@@ -2,17 +2,21 @@
 // variant must agree with the scalar reference within tight tolerance
 // on randomized shapes — including sizes that are not multiples of any
 // vector width — and the removed `0.0f` fast-path must not silently
-// swallow NaN/Inf in any variant.
+// swallow NaN/Inf in any variant. The conv forward kernels and int8
+// conv are pinned bit for bit against their per-variant references.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/conv.h"
 #include "nn/kernels/kernels.h"
 #include "nn/quantize.h"
 
@@ -366,6 +370,278 @@ TEST_P(KernelEquivalenceTest, I8RowRangeMatchesFullRange) {
                        scale.data(), bias.data(), i0, std::min(s.n, i0 + 3));
   }
   EXPECT_EQ(c_full, c_split) << Label("i8_matmul_tb row-range");
+}
+
+// --------------------------------------------------------- conv1d
+//
+// conv1d_forward promises bits, not closeness: per element it performs
+// exactly the operations of the original per-tap loop, which each test
+// rebuilds from the same variant's axpy/add_scalar. Every buffer is an
+// exactly-sized std::vector (not pooled), so ASan flags any overread.
+
+struct ConvShape {
+  size_t c_in, c_out, k, l;
+};
+
+const ConvShape kConvShapes[] = {
+    {1, 16, 7, 64},   // ConvNet layer 1
+    {16, 32, 5, 64},  // ConvNet layer 2
+    {32, 32, 3, 64},  // ConvNet layer 3
+    {32, 32, 7, 64},  // ResNet's widest, C_in*K = 224
+    {3, 5, 4, 13},    // even K, C_out % 4 != 0, L below one tile
+    {4, 6, 6, 37},    // even K, L past two tiles and odd
+    {5, 3, 7, 7},     // L == K, fewer than four output channels
+    {2, 9, 1, 9},     // pointwise
+    {7, 10, 2, 5},    // even K, tiny L
+    {6, 4, 3, 16},    // L exactly one avx2 tile
+};
+
+// The original Conv1d::Forward loop nest: y starts at +0, one axpy per
+// (co, ci, tap) over the tap's valid range, then add_scalar(bias).
+void ReferenceConv(const Ops& ops, const std::vector<float>& x,
+                   const std::vector<float>& w, const float* bias,
+                   std::vector<float>& y, const ConvShape& s, size_t batch) {
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((s.k - 1) / 2);
+  std::fill(y.begin(), y.end(), 0.0f);
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t co = 0; co < s.c_out; ++co) {
+      float* yrow = y.data() + (b * s.c_out + co) * s.l;
+      for (size_t ci = 0; ci < s.c_in; ++ci) {
+        const float* xrow = x.data() + (b * s.c_in + ci) * s.l;
+        const float* wk = w.data() + (co * s.c_in + ci) * s.k;
+        for (size_t k = 0; k < s.k; ++k) {
+          const ptrdiff_t shift = static_cast<ptrdiff_t>(k) - pad;
+          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
+          const size_t t_hi =
+              shift > 0 ? s.l - static_cast<size_t>(shift) : s.l;
+          ops.axpy(yrow + t_lo, wk[k],
+                   xrow + static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) +
+                                              shift),
+                   t_hi - t_lo);
+        }
+      }
+      if (bias != nullptr) ops.add_scalar(yrow, bias[co], s.l);
+    }
+  }
+}
+
+// memcmp equality, reporting the first differing element.
+void ExpectBitwiseEqual(const std::vector<float>& ref,
+                        const std::vector<float>& got,
+                        const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  if (std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (size_t i = 0; i < ref.size(); ++i) {
+    if (std::memcmp(&ref[i], &got[i], sizeof(float)) != 0) {
+      FAIL() << what << ": element " << i << " is " << got[i]
+             << ", reference " << ref[i];
+    }
+  }
+}
+
+std::string ConvLabel(const std::string& what, const ConvShape& s,
+                      size_t batch) {
+  return what + " c_in=" + std::to_string(s.c_in) +
+         " c_out=" + std::to_string(s.c_out) + " k=" + std::to_string(s.k) +
+         " l=" + std::to_string(s.l) + " B=" + std::to_string(batch);
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardMatchesPerTapLoopBitwise) {
+  Rng rng(130);
+  for (const ConvShape& s : kConvShapes) {
+    for (size_t batch : {size_t{1}, size_t{3}}) {
+      const auto x = RandomVec(batch * s.c_in * s.l, rng, -2.0, 2.0);
+      const auto w = RandomVec(s.c_out * s.c_in * s.k, rng);
+      const auto bias = RandomVec(s.c_out, rng);
+      std::vector<float> scratch(Conv1dScratchFloats(s.c_in, s.k, s.l));
+      for (const float* b : {static_cast<const float*>(nullptr), bias.data()}) {
+        const std::string label =
+            ConvLabel(Label(b != nullptr ? "conv1d_forward+bias"
+                                         : "conv1d_forward"),
+                      s, batch);
+        std::vector<float> y_ref(batch * s.c_out * s.l);
+        std::vector<float> y_got(y_ref.size(), -7.0f);  // overwritten
+        ReferenceConv(ops(), x, w, b, y_ref, s, batch);
+        ops().conv1d_forward(x.data(), w.data(), b, y_got.data(), s.c_in,
+                             s.c_out, s.k, s.l, 0, batch, scratch.data());
+        ExpectBitwiseEqual(y_ref, y_got, label);
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardBatchChunksMatchOneCall) {
+  // ParallelFor hands the kernel arbitrary [b0, b1) ranges: chunked
+  // calls must reproduce one full-range call and touch only their rows.
+  Rng rng(131);
+  const ConvShape s{5, 6, 5, 21};
+  const size_t batch = 7;
+  const auto x = RandomVec(batch * s.c_in * s.l, rng);
+  const auto w = RandomVec(s.c_out * s.c_in * s.k, rng);
+  const auto bias = RandomVec(s.c_out, rng);
+  std::vector<float> scratch(Conv1dScratchFloats(s.c_in, s.k, s.l));
+  std::vector<float> y_full(batch * s.c_out * s.l);
+  std::vector<float> y_chunked(y_full.size(), 0.0f);
+  ops().conv1d_forward(x.data(), w.data(), bias.data(), y_full.data(), s.c_in,
+                       s.c_out, s.k, s.l, 0, batch, scratch.data());
+  const size_t cuts[] = {0, 1, 3, 4, 7};
+  for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    ops().conv1d_forward(x.data(), w.data(), bias.data(), y_chunked.data(),
+                         s.c_in, s.c_out, s.k, s.l, cuts[i], cuts[i + 1],
+                         scratch.data());
+  }
+  ExpectBitwiseEqual(y_full, y_chunked, Label("conv1d_forward chunks"));
+  std::vector<float> y_ref(y_full.size());
+  ReferenceConv(ops(), x, w, bias.data(), y_ref, s, batch);
+  ExpectBitwiseEqual(y_ref, y_full, Label("conv1d_forward chunked ref"));
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dForwardZeroRowsKeepSignedZeros) {
+  // Zero inputs against negative weights make every product -0 or +0,
+  // at the padded edges too: the outputs must carry the reference's
+  // zero signs exactly. With +0 rows every product is -0, so only an
+  // accumulator that starts at +0 ends at +0; a -0 row flips the
+  // products to +0; one live tap makes the middle nonzero.
+  const ConvShape s{3, 5, 7, 19};
+  std::vector<float> plus_zero_rows(s.c_in * s.l, 0.0f);
+  plus_zero_rows[2 * s.l + s.l / 2] = 1.5f;
+  std::vector<float> minus_zero_row = plus_zero_rows;
+  for (size_t t = 0; t < s.l; ++t) minus_zero_row[1 * s.l + t] = -0.0f;
+  std::vector<float> w(s.c_out * s.c_in * s.k);
+  for (size_t i = 0; i < w.size(); ++i) {
+    w[i] = -0.25f - 0.01f * static_cast<float>(i % 7);
+  }
+  const std::vector<float> bias = {-0.0f, 0.0f, -0.0f, 1.0f, -0.0f};
+  std::vector<float> scratch(Conv1dScratchFloats(s.c_in, s.k, s.l));
+  for (const auto* x : {&plus_zero_rows, &minus_zero_row}) {
+    for (const float* b : {static_cast<const float*>(nullptr), bias.data()}) {
+      std::vector<float> y_ref(s.c_out * s.l), y_got(s.c_out * s.l, 9.0f);
+      ReferenceConv(ops(), *x, w, b, y_ref, s, 1);
+      ops().conv1d_forward(x->data(), w.data(), b, y_got.data(), s.c_in,
+                           s.c_out, s.k, s.l, 0, 1, scratch.data());
+      ExpectBitwiseEqual(y_ref, y_got, Label("conv1d_forward signed zeros"));
+      for (float v : y_got) {
+        if (v == 0.0f) {
+          EXPECT_FALSE(std::signbit(v)) << Label("-0 output");
+        }
+      }
+    }
+  }
+}
+
+// Int8 conv through Conv1d (under this variant's dispatch) against the
+// im2col reference it replaced: quantize, gather taps (zero-padded),
+// i8_matmul_tb with the fused requantize, transpose.
+std::vector<float> Im2colInt8Conv(const Ops& ops, nn::Conv1d& conv,
+                                  const std::vector<float>& x, size_t batch,
+                                  size_t l) {
+  const size_t c_in = conv.in_channels(), c_out = conv.out_channels();
+  const size_t k = conv.kernel_size(), ck = c_in * k;
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((k - 1) / 2);
+  const float act_scale = conv.ActivationScales()[0];
+  const std::vector<nn::Parameter*> params = conv.Parameters();
+  std::vector<int8_t> wq(c_out * ck);
+  std::vector<float> requant(c_out);
+  nn::QuantizeWeightRows(params[0]->value.raw(), c_out, ck, act_scale,
+                         wq.data(), requant.data());
+  const float* bias = params.size() > 1 ? params[1]->value.raw() : nullptr;
+  std::vector<int8_t> xq(c_in * l), col(l * ck);
+  std::vector<float> tile(l * c_out), y(batch * c_out * l);
+  for (size_t b = 0; b < batch; ++b) {
+    ops.i8_quantize(x.data() + b * c_in * l, 1.0f / act_scale, xq.data(),
+                    c_in * l);
+    for (size_t t = 0; t < l; ++t) {
+      for (size_t ci = 0; ci < c_in; ++ci) {
+        for (size_t kk = 0; kk < k; ++kk) {
+          const ptrdiff_t src = static_cast<ptrdiff_t>(t + kk) - pad;
+          col[t * ck + ci * k + kk] =
+              (src >= 0 && src < static_cast<ptrdiff_t>(l))
+                  ? xq[ci * l + static_cast<size_t>(src)]
+                  : int8_t{0};
+        }
+      }
+    }
+    ops.i8_matmul_tb(col.data(), wq.data(), tile.data(), ck, c_out,
+                     requant.data(), bias, 0, l);
+    for (size_t t = 0; t < l; ++t) {
+      for (size_t co = 0; co < c_out; ++co) {
+        y[(b * c_out + co) * l + t] = tile[t * c_out + co];
+      }
+    }
+  }
+  return y;
+}
+
+class DispatchGuard {
+ public:
+  explicit DispatchGuard(Variant v) { ResetDispatchForTesting(v); }
+  ~DispatchGuard() { ResetDispatchForTesting(); }
+};
+
+TEST_P(KernelEquivalenceTest, Int8ConvMatchesIm2colBitwise) {
+  const DispatchGuard guard(GetParam());
+  Rng rng(132);
+  for (const ConvShape& s : kConvShapes) {
+    for (bool use_bias : {false, true}) {
+      nn::Conv1d conv(s.c_in, s.c_out, s.k, rng, use_bias);
+      if (use_bias) {
+        for (float& v : conv.Parameters()[1]->value.mutable_data()) {
+          v = static_cast<float>(rng.Uniform(-0.5, 0.5));
+        }
+      }
+      const size_t batch = 3;
+      const auto x = RandomVec(batch * s.c_in * s.l, rng, -2.0, 2.0);
+      conv.QuantizeWithScales({2.0f / 127.0f});
+      nn::Tensor input({batch, s.c_in, s.l});
+      std::copy(x.begin(), x.end(), input.raw());
+      const nn::Tensor out = conv.Forward(input, /*training=*/false);
+      const std::vector<float> got(out.raw(), out.raw() + out.size());
+      ExpectBitwiseEqual(
+          Im2colInt8Conv(ops(), conv, x, batch, s.l), got,
+          ConvLabel(Label(use_bias ? "int8 conv+bias" : "int8 conv"), s,
+                    batch));
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, Int8ConvSaturatedAtTheExactBound) {
+  // Every input and weight quantizes to +-127, so interior partial sums
+  // reach C_in*K * 127^2: 16,774,160 < 2^24 at C_in*K = 1040, the widest
+  // layer summed in float. 1045 runs the im2col fallback, which must
+  // still match.
+  const DispatchGuard guard(GetParam());
+  Rng rng(133);
+  for (size_t c_in : {size_t{208}, size_t{209}}) {
+    const size_t k = 5, l = 19, batch = 2;
+    nn::Conv1d conv(c_in, 6, k, rng, /*use_bias=*/false);
+    nn::Tensor& w = conv.Parameters()[0]->value;
+    for (size_t i = 0; i < w.size(); ++i) {
+      // Rows 0-3 all positive (full sum); rows 4-5 mixed signs.
+      const size_t row = i / (c_in * k);
+      w[i] = (row < 4 || i % 3 != 0) ? 0.5f : -0.5f;
+    }
+    std::vector<float> x(batch * c_in * l, 1.0f);
+    for (size_t i = 0; i < c_in * l; ++i) x[c_in * l + i] = -1.0f;
+    conv.QuantizeWithScales({1.0f / 127.0f});
+    nn::Tensor input({batch, c_in, l});
+    std::copy(x.begin(), x.end(), input.raw());
+    const nn::Tensor out = conv.Forward(input, /*training=*/false);
+    const std::vector<float> got(out.raw(), out.raw() + out.size());
+    const std::vector<float> ref = Im2colInt8Conv(ops(), conv, x, batch, l);
+    ExpectBitwiseEqual(ref, got,
+                       Label("int8 conv saturated c_in*k=") +
+                           std::to_string(c_in * k));
+    // The interior of a saturated row is the full integer sum, scaled.
+    const std::vector<nn::Parameter*> params = conv.Parameters();
+    std::vector<int8_t> wq(6 * c_in * k);
+    std::vector<float> requant(6);
+    nn::QuantizeWeightRows(params[0]->value.raw(), 6, c_in * k,
+                           1.0f / 127.0f, wq.data(), requant.data());
+    const float full = static_cast<float>(c_in * k * 127 * 127);
+    EXPECT_EQ(got[l / 2], requant[0] * full) << Label("saturated interior");
+  }
 }
 
 TEST_P(KernelEquivalenceTest, I8ImplNamePresent) {

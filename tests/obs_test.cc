@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
+#include "nn/conv.h"
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -290,6 +292,28 @@ TEST(TraceTest, SpanNestingAndThreadAttribution) {
   EXPECT_GE(inner->start_ns, outer->start_ns);
   EXPECT_LE(inner->start_ns + inner->dur_ns, outer->start_ns + outer->dur_ns);
   EXPECT_NE(remote->tid, outer->tid);
+}
+
+TEST(TraceTest, Int8ConvRecordsOneConvSpan) {
+  // A quantized conv forward is one conv call: exactly one conv span,
+  // named for its precision, never an fp32 span wrapped around it.
+  Rng rng(7);
+  nn::Conv1d conv(4, 8, 3, rng, /*use_bias=*/false);
+  conv.QuantizeWithScales({0.02f});
+  nn::Tensor x({2, 4, 16});
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  obs::StartTracing();
+  (void)conv.Forward(x, /*training=*/false);
+  obs::StopTracing();
+  std::vector<std::string> conv_spans;
+  for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
+    const std::string name = e.name;
+    if (name.rfind("nn.conv1d.", 0) == 0) conv_spans.push_back(name);
+  }
+  ASSERT_EQ(conv_spans.size(), 1u);
+  EXPECT_EQ(conv_spans[0], "nn.conv1d.forward_int8");
 }
 
 TEST(TraceTest, ChromeTraceJsonRoundTrips) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -60,23 +61,18 @@ float PlainStep(const float* a, const float* b) {
   return DotKernel(a, b, kVecLen);
 }
 
-// Min-of-reps: the minimum is the run least disturbed by the scheduler,
-// so it isolates the code's own cost far better than a mean would.
-uint64_t MinRepNs(float (*step)(const float*, const float*), const float* a,
-                  const float* b, float* sink) {
-  uint64_t best = UINT64_MAX;
-  for (int rep = 0; rep < kReps; ++rep) {
-    float acc = 0.0f;
-    const uint64_t begin = obs::NowNs();
-    for (int i = 0; i < kStepsPerRep; ++i) {
-      acc += step(a, b);
-      ClobberMemory();
-    }
-    const uint64_t elapsed = obs::NowNs() - begin;
-    *sink += acc;  // Keeps the kernel from being optimized away.
-    if (elapsed < best) best = elapsed;
+// Wall time of one rep: kStepsPerRep calls of `step`.
+uint64_t RepNs(float (*step)(const float*, const float*), const float* a,
+               const float* b, float* sink) {
+  float acc = 0.0f;
+  const uint64_t begin = obs::NowNs();
+  for (int i = 0; i < kStepsPerRep; ++i) {
+    acc += step(a, b);
+    ClobberMemory();
   }
-  return best;
+  const uint64_t elapsed = obs::NowNs() - begin;
+  *sink += acc;  // Keeps the kernel from being optimized away.
+  return elapsed;
 }
 
 TEST(TraceOverheadTest, DisabledSpanCostsUnderFivePercent) {
@@ -90,12 +86,27 @@ TEST(TraceOverheadTest, DisabledSpanCostsUnderFivePercent) {
   float sink = 0.0f;
 
   // Warm up caches and frequency scaling before timing either variant.
-  (void)MinRepNs(PlainStep, a.data(), b.data(), &sink);
-  (void)MinRepNs(InstrumentedStep, a.data(), b.data(), &sink);
+  for (int rep = 0; rep < 3; ++rep) {
+    (void)RepNs(PlainStep, a.data(), b.data(), &sink);
+    (void)RepNs(InstrumentedStep, a.data(), b.data(), &sink);
+  }
 
-  const uint64_t plain_ns = MinRepNs(PlainStep, a.data(), b.data(), &sink);
-  const uint64_t traced_ns =
-      MinRepNs(InstrumentedStep, a.data(), b.data(), &sink);
+  // Plain and traced reps interleave, alternating which runs first, so
+  // host drift (frequency, noisy neighbours) lands on both sides alike
+  // instead of reading as span cost. Min-of-reps per side: the minimum
+  // is the rep least disturbed by the scheduler, so it isolates the
+  // code's own cost far better than a mean would.
+  uint64_t plain_ns = UINT64_MAX, traced_ns = UINT64_MAX;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const bool plain_first = rep % 2 == 0;
+    for (int side = 0; side < 2; ++side) {
+      const bool plain = (side == 0) == plain_first;
+      const uint64_t ns = RepNs(plain ? PlainStep : InstrumentedStep,
+                                a.data(), b.data(), &sink);
+      uint64_t& best = plain ? plain_ns : traced_ns;
+      best = std::min(best, ns);
+    }
+  }
   ASSERT_GT(plain_ns, 0u);
   EXPECT_GT(sink, 0.0f);
 

@@ -16,8 +16,10 @@ kdsel.stream.* instrumentation.
 `bench_micro --report-kernels`: every dispatch variant that reports at
 all must carry the full workload set including the int8 rows
 (i8_matmul_256, selector_forward_int8) with their speedup_vs_fp32
-metric, and no row may smuggle in a non-positive speedup_vs_1t (the
-writer omits the key when there is no 1-thread baseline).
+metric and one fp32 and one int8 row per ConvNet conv layer shape
+(conv_fp32_* / conv_int8_*) with its speedup_vs_scalar, and no row may
+smuggle in a non-positive speedup_vs_1t (the writer omits the key when
+there is no 1-thread baseline).
 
 `--profile serving` validates a BENCH_serving.json written by
 bench_serving: every row must carry the latency percentiles
@@ -73,20 +75,30 @@ HISTOGRAM_KEYS = [
 # Workloads every reporting dispatch variant must measure at 1 thread in
 # BENCH_kernels.json. The int8 rows are load-bearing: dropping them
 # would silently retire the quantized-inference perf tracking.
+# The per-layer conv rows are the before/after record of the Conv1d
+# forward kernel: ConvNet's three layer shapes, fp32 and int8.
+CONV_LAYER_SHAPES = ["1x16k7", "16x32k5", "32x32k3"]
+CONV_LAYER_WORKLOADS = [
+    f"conv_{precision}_{shape}"
+    for shape in CONV_LAYER_SHAPES
+    for precision in ("fp32", "int8")
+]
+
 KERNEL_WORKLOADS = [
     "matmul_256",
     "i8_matmul_256",
     "conv1d_forward",
     "selector_forward_fp32",
     "selector_forward_int8",
-]
+] + CONV_LAYER_WORKLOADS
 
 # (workload prefix, required metrics key) for kernel report rows.
 KERNEL_REQUIRED_METRICS = [
     ("i8_matmul_256:", "speedup_vs_fp32"),
     ("i8_matmul_256:", "speedup_vs_scalar"),
     ("selector_forward_int8:", "speedup_vs_fp32"),
-]
+] + [(f"{workload}:", "speedup_vs_scalar")
+     for workload in CONV_LAYER_WORKLOADS]
 
 
 def check_bench_kernels(path, snapshot):
@@ -302,8 +314,8 @@ def main(argv):
                 print(error, file=sys.stderr)
             return 1
         print(
-            f"{path}: ok ({len(snapshot['entries'])} rows, int8 workloads "
-            "present)"
+            f"{path}: ok ({len(snapshot['entries'])} rows, int8 and "
+            "per-layer conv workloads present)"
         )
         return 0
 
