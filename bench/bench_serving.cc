@@ -451,7 +451,6 @@ int RunDriver(size_t requests, size_t clients, size_t pipeline,
   capacity.slo_ms = 0.0;
   capacity.server.num_workers = 1;
   capacity.server.max_batch = 512;
-  capacity.server.max_delay_us = 200;
   capacity.server.queue_capacity = 16384;
 
   NetConfig overload;
@@ -475,7 +474,6 @@ int RunDriver(size_t requests, size_t clients, size_t pipeline,
   overload.slo_ms = slo_ms;
   overload.server.num_workers = 1;
   overload.server.max_batch = 4;
-  overload.server.max_delay_us = 500;
   overload.server.queue_capacity = 4;
 
   bench::BenchReport report("serving");

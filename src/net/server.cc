@@ -521,7 +521,7 @@ void NetServer::ProcessLine(
           completion.verdict = obs::FlightRecord::Verdict::kOk;
           completion.int8_variant = response->int8;
           completion.done_us = timing.done_us;
-          completion.batch_wait_us = static_cast<float>(timing.batch_wait_us);
+          completion.batch_wait_us = static_cast<float>(timing.queue_us);
           completion.compute_us = static_cast<float>(timing.compute_us);
           completion.line = serve::FormatSelectResponse(id, *response, labeled,
                                                         want_scores,
@@ -661,11 +661,10 @@ void NetServer::DrainCompletions(Shard& shard) {
     slot.meta.done_us = completion.done_us;
     slot.meta.batch_wait_us = completion.batch_wait_us;
     slot.meta.compute_us = completion.compute_us;
-    // Queue is the ingress->dequeue span minus batch formation and
-    // compute: socket parse, submit and queue wait. Charging the
-    // residual (rather than serve's submit->dequeue clock) makes the
-    // four stages sum to the e2e total exactly, so per-stage p50s
-    // reconcile against the kdsel.net.e2e histogram.
+    // Queue is the ingress->done span minus the wait for a worker and
+    // compute: socket parse, admission and submit. Charging the residual
+    // makes the four stages sum to the e2e total exactly, so per-stage
+    // p50s reconcile against the kdsel.net.e2e histogram.
     if (completion.done_us > 0 &&
         completion.verdict == obs::FlightRecord::Verdict::kOk) {
       const double span_us = static_cast<double>(

@@ -147,12 +147,12 @@ class NetServer {
     char trace[obs::FlightRecord::kTraceBytes] = {};
     int64_t ingress_us = 0;  ///< Epoll-wake stamp when the line arrived.
     int64_t done_us = 0;     ///< Worker completion stamp (selects only).
-    /// Ingress -> worker-dequeue residual not attributed to batch
-    /// formation: socket parse, submit and queue wait. A residual by
-    /// construction, so queue + batch_wait + compute + write == total.
+    /// Ingress -> submit: socket parse, admission and submit. A residual
+    /// by construction, so queue + batch_wait + compute + write == total.
     float queue_us = 0.0f;
-    float batch_wait_us = 0.0f;  ///< Submit -> micro-batch formed.
-    float compute_us = 0.0f;     ///< Worker dequeue -> response ready.
+    /// Submit -> a worker took the request (waiting for a free worker).
+    float batch_wait_us = 0.0f;
+    float compute_us = 0.0f;  ///< Worker took the request -> response ready.
     obs::FlightRecord::Verdict verdict = obs::FlightRecord::Verdict::kError;
     bool int8_variant = false;
     bool traced = false;  ///< Record stage metrics + flight on flush.
@@ -213,9 +213,9 @@ class NetServer {
     std::string line;
     // Stage attribution from the inference side, merged into the slot's
     // ReqMeta by DrainCompletions (which derives queue_us as the
-    // ingress->dequeue residual, so it is not carried here).
+    // ingress->submit residual, so it is not carried here).
     int64_t done_us = 0;
-    float batch_wait_us = 0.0f;
+    float batch_wait_us = 0.0f;  ///< The serve-side RequestTiming::queue_us.
     float compute_us = 0.0f;
     obs::FlightRecord::Verdict verdict = obs::FlightRecord::Verdict::kError;
     bool int8_variant = false;

@@ -26,12 +26,11 @@ struct FlightRecord {
   };
 
   char trace[kTraceBytes] = {};  ///< NUL-terminated, possibly truncated.
-  /// Ingress -> worker-dequeue residual not attributed to batch
-  /// formation or compute (socket parse, submit and queue wait); the
-  /// four stages sum to total_us by construction.
+  /// Ingress -> submit (socket parse, admission and submit), a residual
+  /// so the four stages sum to total_us by construction.
   double queue_us = 0.0;
-  double batch_wait_us = 0.0;    ///< Submit -> micro-batch formed.
-  double compute_us = 0.0;       ///< Worker dequeue -> response ready.
+  double batch_wait_us = 0.0;    ///< Submit -> a worker took the request.
+  double compute_us = 0.0;       ///< Worker took it -> response ready.
   double write_us = 0.0;         ///< Response ready -> reply flushed.
   double total_us = 0.0;         ///< Ingress -> reply flushed.
   Verdict verdict = Verdict::kOk;

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <utility>
@@ -36,15 +35,11 @@ Status InferenceServer::Start() {
     return Status::InvalidArgument(
         "num_workers, max_batch and queue_capacity must be positive");
   }
-  if (options_.max_delay_us < 0) {
-    return Status::InvalidArgument("max_delay_us must be >= 0");
-  }
   started_ = true;
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
     accepting_ = true;
   }
-  batcher_ = std::thread(&InferenceServer::BatcherLoop, this);
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back(&InferenceServer::WorkerLoop, this);
@@ -61,7 +56,8 @@ void InferenceServer::Stop() {
     accepting_ = false;
   }
   submit_cv_.notify_all();
-  batcher_.join();  // Exits only after flushing every accepted request.
+  // A worker exits only once it finds the queue empty, so every accepted
+  // request is served before the joins return.
   for (auto& worker : workers_) worker.join();
   workers_.clear();
 }
@@ -107,88 +103,33 @@ void InferenceServer::SubmitBatch(std::vector<AsyncItem> items) {
   }
   if (admitted > 0) {
     stats_.RecordSubmitted(admitted);
-    submit_cv_.notify_all();
+    // One idle worker takes the batch; if it leaves requests behind, it
+    // wakes the next (see WorkerLoop).
+    submit_cv_.notify_one();
   }
   for (auto& [done, status] : failed) done(status);
 }
 
-void InferenceServer::PushBatch(Batch batch) {
-  // The batch-formed stamp: everything before this is the micro-batch
-  // wait (max_delay_us/max_batch), everything until a worker dequeues is
-  // time spent waiting for a free worker.
-  batch.formed = Clock::now();
-  stats_.RecordBatch(batch.items.size());
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_queue_.push_back(std::move(batch));
-  }
-  batch_cv_.notify_one();
-}
-
-void InferenceServer::BatcherLoop() {
-  struct Group {
-    Batch batch;
-    Clock::time_point oldest;
-  };
-  std::map<std::string, Group> groups;
-  const auto max_delay = std::chrono::microseconds(options_.max_delay_us);
-
-  for (;;) {
-    bool shutting_down;
-    std::deque<Pending> drained;
-    {
-      std::unique_lock<std::mutex> lock(submit_mu_);
-      auto woken = [&] { return !submit_queue_.empty() || !accepting_; };
-      if (groups.empty()) {
-        submit_cv_.wait(lock, woken);
-      } else {
-        // Sleep at most until the oldest pending group must flush.
-        Clock::time_point deadline = groups.begin()->second.oldest + max_delay;
-        for (const auto& [name, group] : groups) {
-          deadline = std::min(deadline, group.oldest + max_delay);
-        }
-        submit_cv_.wait_until(lock, deadline, woken);
-      }
-      drained.swap(submit_queue_);
-      shutting_down = !accepting_;
-    }
-
-    for (Pending& pending : drained) {
-      const std::string name = pending.request.selector;
-      Group& group = groups[name];
-      if (group.batch.items.empty()) {
-        group.batch.selector = name;
-        group.oldest = pending.submit_time;
-      }
-      group.batch.items.push_back(std::move(pending));
-      if (group.batch.items.size() >= options_.max_batch) {
-        Batch full = std::move(group.batch);
-        groups.erase(name);
-        PushBatch(std::move(full));
-      }
-    }
-
-    const Clock::time_point now = Clock::now();
-    for (auto it = groups.begin(); it != groups.end();) {
-      if (shutting_down || now - it->second.oldest >= max_delay) {
-        PushBatch(std::move(it->second.batch));
-        it = groups.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    if (shutting_down) {
-      std::lock_guard<std::mutex> lock(submit_mu_);
-      if (submit_queue_.empty() && groups.empty()) break;
+InferenceServer::Batch InferenceServer::TakeBatchLocked()
+    KDSEL_REQUIRES(submit_mu_) {
+  Batch batch;
+  batch.selector = submit_queue_.front().request.selector;
+  // Taken requests leave holes; the requests left behind slide forward
+  // over them in order, so [kept, scanned) ends up moved-from.
+  auto kept = submit_queue_.begin();
+  auto scanned = submit_queue_.begin();
+  for (; scanned != submit_queue_.end() &&
+         batch.items.size() < options_.max_batch;
+       ++scanned) {
+    if (scanned->request.selector == batch.selector) {
+      batch.items.push_back(std::move(*scanned));
+    } else {
+      if (kept != scanned) *kept = std::move(*scanned);
+      ++kept;
     }
   }
-
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batcher_done_ = true;
-  }
-  batch_cv_.notify_all();
+  submit_queue_.erase(kept, scanned);
+  return batch;
 }
 
 void InferenceServer::WorkerLoop() {
@@ -200,13 +141,16 @@ void InferenceServer::WorkerLoop() {
   for (;;) {
     Batch batch;
     {
-      std::unique_lock<std::mutex> lock(batch_mu_);
-      batch_cv_.wait(lock,
-                     [&] { return !batch_queue_.empty() || batcher_done_; });
-      if (batch_queue_.empty()) return;  // batcher_done_ and fully drained.
-      batch = std::move(batch_queue_.front());
-      batch_queue_.pop_front();
+      std::unique_lock<std::mutex> lock(submit_mu_);
+      submit_cv_.wait(lock,
+                      [&] { return !submit_queue_.empty() || !accepting_; });
+      if (submit_queue_.empty()) return;  // Stopped and fully drained.
+      batch = TakeBatchLocked();
+      // Requests for another selector, or past max_batch, stay queued:
+      // hand them to the next idle worker.
+      if (!submit_queue_.empty()) submit_cv_.notify_one();
     }
+    stats_.RecordBatch(batch.items.size());
     ProcessBatch(std::move(batch), models);
   }
 }
@@ -340,7 +284,6 @@ void InferenceServer::ProcessBatch(
     response.timing.detect_us = detect ? ToUs(done - detect_begin) : 0.0;
     response.timing.total_us = ToUs(done - item.submit_time);
     response.timing.batch_size = batch.items.size();
-    response.timing.batch_wait_us = ToUs(batch.formed - item.submit_time);
     response.timing.compute_us = ToUs(done - dequeue_time);
     response.timing.done_us = std::chrono::duration_cast<std::chrono::microseconds>(
                                   done.time_since_epoch())

@@ -24,9 +24,8 @@ namespace kdsel::serve {
 
 /// Tuning knobs for the inference server.
 struct ServerOptions {
-  size_t num_workers = 4;     ///< Worker threads executing batches.
-  size_t max_batch = 8;       ///< Flush a pending group at this size.
-  int64_t max_delay_us = 1000;  ///< ... or when its oldest request ages out.
+  size_t num_workers = 4;  ///< Worker threads; an idle one takes a batch.
+  size_t max_batch = 8;    ///< Most requests one worker takes at once.
   size_t queue_capacity = 1024;  ///< Bounded submission queue (backpressure).
   uint64_t detector_seed = 42;   ///< Seed for each worker's TSAD model set.
 };
@@ -40,22 +39,19 @@ struct SelectRequest {
 };
 
 /// Request-level timing, echoed back so clients and the bench can
-/// attribute latency without scraping server logs. The first four
-/// fields are the historical wire keys; the stage fields below them
-/// feed the net layer's per-stage histograms (kdsel.net.stage.*) and
-/// the flight recorder, and stay off the wire.
+/// attribute latency without scraping server logs. The first five
+/// fields are the wire keys; the stage fields below them stay off the
+/// wire. `queue_us` and `compute_us` feed the net layer's per-stage
+/// histograms (kdsel.net.stage.batch_wait and .compute) and the flight
+/// recorder.
 struct RequestTiming {
-  double queue_us = 0.0;   ///< Submit -> worker picked up the batch.
+  double queue_us = 0.0;   ///< Submit -> a worker took the request.
   double select_us = 0.0;  ///< Windowing + (batched) selector forward + vote.
   double detect_us = 0.0;  ///< Selected-detector scoring; 0 if skipped.
   double total_us = 0.0;   ///< Submit -> response completed.
   size_t batch_size = 0;   ///< Number of requests in the serving batch.
 
-  /// Submit -> the batcher flushed this request's micro-batch (the
-  /// max_delay_us/max_batch wait); queue_us minus this is the time the
-  /// formed batch waited for a free worker.
-  double batch_wait_us = 0.0;
-  /// Worker dequeue -> response ready (shared forward pass + this
+  /// Worker took the batch -> response ready (shared forward pass + this
   /// request's vote/detection slice).
   double compute_us = 0.0;
   /// Absolute completion timestamp, monotonic microseconds on the obs
@@ -75,17 +71,18 @@ struct SelectResponse {
 ///
 /// Architecture (see src/serve/README.md):
 ///
-///   SubmitBatch() -> bounded submission queue -> batcher thread ->
-///   per-selector micro-batches -> batch queue -> worker pool
+///   SubmitBatch() -> bounded submission queue -> idle worker takes a
+///   per-selector micro-batch
 ///
-/// The batcher groups concurrent requests addressed to the same selector
-/// and flushes a group when it reaches `max_batch` or its oldest request
-/// has waited `max_delay_us`. A worker serves a batch by running ONE
-/// selector forward pass over the concatenated windows of every request
-/// in the batch, then voting and (optionally) detecting per request.
-/// Window extraction mirrors the offline protocol (window length =
-/// selector input length, stride = length), so responses are
-/// byte-identical to core::DetectWithSelection.
+/// An idle worker takes the oldest queued request plus up to
+/// `max_batch - 1` later requests for the same selector; the requests it
+/// leaves keep their order. So requests wait, and batch, only while
+/// every worker is busy, and `queue_capacity` bounds the whole backlog.
+/// A worker serves a batch by running ONE selector forward pass over the
+/// concatenated windows of every request in the batch, then voting and
+/// (optionally) detecting per request. Window extraction mirrors the
+/// offline protocol (window length = selector input length, stride =
+/// length), so responses are byte-identical to core::DetectWithSelection.
 ///
 /// Workers predict directly on the registry's shared, immutable snapshot
 /// (inference forwards write no module state), and each keeps its own
@@ -99,7 +96,7 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Spawns the batcher and worker threads. Call once.
+  /// Spawns the worker threads. Call once.
   Status Start();
 
   /// Stops accepting work, drains every accepted request, and joins all
@@ -147,34 +144,29 @@ class InferenceServer {
   struct Batch {
     std::string selector;
     std::vector<Pending> items;
-    Clock::time_point formed;  ///< Stamped when the batcher flushes it.
   };
 
   /// Admission verdict for one request: OK, or why it cannot be queued
   /// (ResourceExhausted when the submission queue is full).
   Status AdmitLocked(const SelectRequest& request) KDSEL_REQUIRES(submit_mu_);
-  void BatcherLoop();
+  /// Removes the oldest queued request plus up to `max_batch - 1` later
+  /// ones for the same selector, in one stable pass. The queue must not
+  /// be empty.
+  Batch TakeBatchLocked() KDSEL_REQUIRES(submit_mu_);
   void WorkerLoop();
   void ProcessBatch(Batch batch,
                     const std::vector<std::unique_ptr<tsad::Detector>>& models);
   void FailBatch(Batch& batch, const Status& status);
-  void PushBatch(Batch batch);
 
   SelectorRegistry* registry_;
   ServerOptions options_;
   ServerStats stats_;
 
   std::mutex submit_mu_;
-  std::condition_variable submit_cv_;
+  std::condition_variable submit_cv_;  ///< Wakes idle workers.
   std::deque<Pending> submit_queue_ KDSEL_GUARDED_BY(submit_mu_);
   bool accepting_ KDSEL_GUARDED_BY(submit_mu_) = false;
 
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::deque<Batch> batch_queue_ KDSEL_GUARDED_BY(batch_mu_);
-  bool batcher_done_ KDSEL_GUARDED_BY(batch_mu_) = false;
-
-  std::thread batcher_;
   std::vector<std::thread> workers_;
 
   // Serializes Start/Stop; started_/stopped_ are only touched under it.

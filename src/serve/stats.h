@@ -29,7 +29,7 @@ Json LatencyHistogramJson(const LatencyHistogram& histogram);
 struct EndpointStats {
   std::atomic<uint64_t> completed{0};
   std::atomic<uint64_t> failed{0};
-  LatencyHistogram queue_wait;  ///< Submit -> batch dequeue by a worker.
+  LatencyHistogram queue_wait;  ///< Submit -> a worker took the request.
   LatencyHistogram selection;   ///< Windowing + batched selector forward.
   LatencyHistogram detection;   ///< Selected-detector scoring (+metric).
   LatencyHistogram total;       ///< Submit -> response ready.
@@ -55,7 +55,7 @@ class ServerStats {
   /// from `rejected`, which counts queue-full backpressure failures.
   void RecordShed() { shed_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Records one flushed batch of `size` requests.
+  /// Records one batch of `size` requests taken by a worker.
   void RecordBatch(size_t size);
 
   /// Records window-row coalescing for one served batch: `total` rows
@@ -91,7 +91,7 @@ class ServerStats {
   uint64_t rows_total() const { return rows_total_.load(); }
   uint64_t rows_unique() const { return rows_unique_.load(); }
 
-  /// Mean number of requests per flushed batch (0 when no batches yet).
+  /// Mean number of requests per batch (0 when no batches yet).
   double MeanBatchSize() const;
 
   /// Fraction of arrived requests refused by admission control:

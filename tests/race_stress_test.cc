@@ -8,7 +8,8 @@
 //   * ServerStats: ToJsonString/Summarize export racing live Record*
 //     calls on the inference path.
 //   * InferenceServer lifecycle: concurrent Stop() calls (client thread
-//     vs destructor path) with requests still in flight.
+//     vs destructor path) with requests still in flight, and submitters
+//     racing Stop() for the submission queue the workers take from.
 //   * TrainedSelector: Logits/Predict on one shared selector from many
 //     threads, every backbone in fp32 and int8.
 //   * obs::Histogram: Reset() racing Record() and Summarize(), the
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -154,7 +156,6 @@ TEST(RaceStressTest, StatsExportRacesInferenceAndReload) {
   ServerOptions opts;
   opts.num_workers = 3;
   opts.max_batch = 4;
-  opts.max_delay_us = 200;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -245,7 +246,6 @@ TEST(RaceStressTest, Int8VariantServesAndReloadsConcurrentlyWithFp32) {
   ServerOptions opts;
   opts.num_workers = 3;
   opts.max_batch = 4;
-  opts.max_delay_us = 200;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -310,7 +310,6 @@ TEST(RaceStressTest, ConcurrentStopIsIdempotent) {
     ServerOptions opts;
     opts.num_workers = 2;
     opts.max_batch = 2;
-    opts.max_delay_us = 100;
     InferenceServer server(&registry, opts);
     ASSERT_TRUE(server.Start().ok());
 
@@ -339,6 +338,94 @@ TEST(RaceStressTest, ConcurrentStopIsIdempotent) {
     // stops again when `server` leaves scope.
     server.Stop();
   }
+}
+
+// Submitters race Stop(): four threads keep handing 1-5-item batches
+// over two selectors to the server while another thread stops it. Every
+// `done` runs exactly once; accepted requests end OK and the rest are
+// refused with FailedPrecondition (stopped) or ResourceExhausted (queue
+// full). Stop() drains: no accepted request completes after it returns,
+// though refusals still complete later, inside a late SubmitBatch.
+TEST(RaceStressTest, SubmittersRaceStop) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_race_none"));
+  auto trained = TrainTinySelector();
+  auto other = trained->Clone();
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(registry.Register("tiny", std::move(trained)).ok());
+  ASSERT_TRUE(registry.Register("other", std::move(other).value()).ok());
+
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_batch = 4;
+  opts.queue_capacity = 16;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Sixteen windows per request keep the workers behind the submitters,
+  // so the queue is full when the stop lands.
+  const ts::TimeSeries series = MakeSineSeries(256, 0.4);
+  constexpr size_t kSubmitters = 4;
+  std::atomic<bool> stopped{false};
+  std::atomic<uint64_t> ok{0};
+  std::atomic<int> refused{0}, unexpected{0};
+  // One call counter per item; a deque never moves its elements.
+  std::vector<std::deque<std::atomic<int>>> calls(kSubmitters);
+  std::vector<std::thread> submitters;  // kdsel-lint: allow(raw-thread)
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(t + 1);
+      // Keep submitting until the stop is seen, then once more.
+      for (bool last = false; !last;) {
+        last = stopped.load(std::memory_order_acquire);
+        std::vector<InferenceServer::AsyncItem> items(
+            static_cast<size_t>(rng.Int(1, 5)));
+        for (InferenceServer::AsyncItem& item : items) {
+          std::atomic<int>* count = &calls[t].emplace_back(0);
+          item.request.selector = rng.Bernoulli(0.5) ? "tiny" : "other";
+          item.request.series = series;
+          item.request.run_detection = false;
+          item.done = [&, count](StatusOr<SelectResponse> reply) {
+            count->fetch_add(1);
+            const StatusCode code = reply.status().code();
+            if (code == StatusCode::kOk) {
+              ok.fetch_add(1);
+            } else if (code == StatusCode::kFailedPrecondition ||
+                       code == StatusCode::kResourceExhausted) {
+              refused.fetch_add(1);
+            } else {
+              unexpected.fetch_add(1);
+            }
+          };
+        }
+        server.SubmitBatch(std::move(items));
+      }
+    });
+  }
+  uint64_t ok_at_stop = 0;
+  std::thread stopper([&] {  // kdsel-lint: allow(raw-thread)
+    while (server.stats().rejected() == 0) std::this_thread::yield();
+    server.Stop();
+    ok_at_stop = ok.load();
+    stopped.store(true, std::memory_order_release);
+  });
+  stopper.join();
+  for (auto& submitter : submitters) submitter.join();
+
+  size_t items = 0, not_once = 0;
+  for (const auto& counts : calls) {
+    for (const std::atomic<int>& count : counts) {
+      ++items;
+      if (count.load() != 1) ++not_once;
+    }
+  }
+  EXPECT_EQ(not_once, 0u);
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_EQ(ok.load() + static_cast<uint64_t>(refused.load()), items);
+  EXPECT_EQ(ok.load(), ok_at_stop);
+  EXPECT_EQ(ok.load(), server.stats().submitted());
+  EXPECT_EQ(server.stats().submitted(),
+            server.stats().completed() + server.stats().failed());
+  EXPECT_GT(refused.load(), 0);  // At least every final, post-stop batch.
 }
 
 // Inference forwards write no module state, so threads share one

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,10 +22,12 @@
 namespace kdsel::serve {
 namespace {
 
+using serve_test::HeldWorkers;
 using serve_test::Lines;
 using serve_test::RunAdoptedSession;
 using serve_test::RunRequest;
 using serve_test::SubmitOne;
+using serve_test::SubmitTogether;
 
 /// Trains a small ConvNet selector on separable synthetic windows.
 std::unique_ptr<core::TrainedSelector> TrainTinySelector(
@@ -64,6 +67,20 @@ std::vector<std::vector<float>> TinyCalibrationWindows(uint64_t seed = 4) {
     windows.push_back(std::move(w));
   }
   return windows;
+}
+
+/// A selection-only request for a 64-point sine: four windows of the
+/// TrainTinySelector input length.
+SelectRequest SineSelectRequest(const std::string& selector) {
+  SelectRequest request;
+  request.selector = selector;
+  request.series = ts::TimeSeries("s", std::vector<float>(64, 0.0f));
+  for (size_t i = 0; i < request.series.length(); ++i) {
+    request.series.mutable_values()[i] =
+        std::sin(0.4 * static_cast<double>(i));
+  }
+  request.run_detection = false;
+  return request;
 }
 
 std::vector<ts::TimeSeries> MakeLabeledSeries(size_t count, uint64_t seed) {
@@ -241,8 +258,8 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
   }
 }
 
-// Admission holds the submit lock for a whole SubmitBatch, so the
-// batcher cannot drain the queue mid-batch: of queue_capacity + 3 items
+// Admission holds the submit lock for a whole SubmitBatch, so no
+// worker can take from the queue mid-batch: of queue_capacity + 3 items
 // exactly the capacity is admitted, and the 3 overflow items complete
 // with the typed backpressure code before SubmitBatch returns.
 TEST(InferenceServerTest, SubmitBatchOverflowIsResourceExhausted) {
@@ -276,6 +293,74 @@ TEST(InferenceServerTest, SubmitBatchOverflowIsResourceExhausted) {
   EXPECT_EQ(server.stats().rejected(), 3u);
 }
 
+// Workers take straight from the submission queue, so queue_capacity
+// bounds every request still waiting for a worker: with the one worker
+// busy, the fifth and sixth one-item submissions are refused, however
+// far apart they arrive.
+TEST(InferenceServerTest, QueueCapacityBoundsTheWholeBacklog) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  ASSERT_TRUE(registry.Register("tiny", TrainTinySelector()).ok());
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.queue_capacity = 4;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  HeldWorkers held(server, SineSelectRequest("tiny"), opts.num_workers);
+  std::vector<std::future<StatusOr<SelectResponse>>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(SubmitOne(server, SineSelectRequest("tiny")));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  held.Release();
+  std::vector<std::string> codes;
+  for (auto& future : futures) {
+    codes.push_back(StatusCodeToString(future.get().status().code()));
+  }
+  server.Stop();
+  EXPECT_EQ(codes, (std::vector<std::string>{"OK", "OK", "OK", "OK",
+                                             "ResourceExhausted",
+                                             "ResourceExhausted"}));
+  EXPECT_EQ(server.stats().rejected(), 2u);
+}
+
+// An idle worker takes the oldest queued request plus later ones for the
+// same selector, up to max_batch, and leaves the rest in order. With
+// both workers busy, six requests over two selectors queue up, spaced
+// out in time (batching depends on free workers, not on arrival times);
+// once released they go out as {0,2,3}, {1,4} and {5}.
+TEST(InferenceServerTest, RequestsQueuedWhileWorkersAreBusyShareABatch) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  auto trained = TrainTinySelector();
+  auto other = trained->Clone();
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(registry.Register("tiny", std::move(trained)).ok());
+  ASSERT_TRUE(registry.Register("other", std::move(other).value()).ok());
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_batch = 3;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  HeldWorkers held(server, SineSelectRequest("tiny"), opts.num_workers);
+  std::vector<std::future<StatusOr<SelectResponse>>> futures;
+  for (const char* selector :
+       {"tiny", "other", "tiny", "tiny", "other", "tiny"}) {
+    futures.push_back(SubmitOne(server, SineSelectRequest(selector)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  held.Release();
+  std::vector<size_t> batch_sizes;
+  for (auto& future : futures) {
+    auto response = future.get();
+    ASSERT_TRUE(response.ok()) << response.status();
+    batch_sizes.push_back(response->timing.batch_size);
+  }
+  server.Stop();
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{3, 2, 3, 3, 2, 1}));
+  EXPECT_EQ(server.stats().batches(), opts.num_workers + 3);
+}
+
 TEST(InferenceServerTest, MatchesSequentialPipelineByteForByte) {
   SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
   auto trained = TrainTinySelector();
@@ -286,7 +371,6 @@ TEST(InferenceServerTest, MatchesSequentialPipelineByteForByte) {
   ServerOptions opts;
   opts.num_workers = 4;
   opts.max_batch = 8;
-  opts.max_delay_us = 500;
   opts.detector_seed = 42;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
@@ -357,7 +441,6 @@ TEST(InferenceServerTest, HotReloadDuringInFlightRequestsIsRaceFree) {
   ServerOptions opts;
   opts.num_workers = 4;
   opts.max_batch = 4;
-  opts.max_delay_us = 200;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -428,27 +511,17 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
   ServerOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 4;
-  opts.max_delay_us = 200000;  // Generous: flush happens via max_batch.
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  ts::TimeSeries series("s", std::vector<float>(64, 0.0f));
-  for (size_t i = 0; i < series.length(); ++i) {
-    series.mutable_values()[i] = std::sin(0.4 * static_cast<double>(i));
-  }
-  std::vector<std::future<StatusOr<SelectResponse>>> futures;
-  for (int i = 0; i < 4; ++i) {
-    SelectRequest request;
-    request.selector = "tiny";
-    request.series = series;
-    request.run_detection = false;
-    futures.push_back(SubmitOne(server, std::move(request)));
-  }
+  // One SubmitBatch, as one epoll wake submits: all four are queued
+  // under one lock before any worker can take one.
+  std::vector<SelectRequest> requests(4, SineSelectRequest("tiny"));
+  auto futures = SubmitTogether(server, std::move(requests));
   for (auto& f : futures) {
     auto response = f.get();
     ASSERT_TRUE(response.ok()) << response.status();
-    // All four submissions landed before the (200 ms) delay flush, so
-    // they must have been served as one batch of max_batch = 4.
+    // So the first idle worker took them as one batch of max_batch = 4.
     EXPECT_EQ(response->timing.batch_size, 4u);
     EXPECT_EQ(response->num_windows, 4u);  // 64-point series, window 16.
     EXPECT_FALSE(response->result.model_name.empty());
@@ -525,7 +598,6 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   ServerOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 4;
-  opts.max_delay_us = 500;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -670,7 +742,6 @@ TEST(InferenceServerTest, ServesFp32AndInt8VariantsSideBySide) {
   ServerOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 4;
-  opts.max_delay_us = 500;
   InferenceServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 

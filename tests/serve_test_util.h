@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,19 +25,32 @@ namespace kdsel::serve_test {
 
 using Reply = StatusOr<serve::SelectResponse>;
 
+/// Hands `requests` to the server in ONE SubmitBatch (admitted under one
+/// lock, as one epoll wake submits) and returns a future per reply.
+inline std::vector<std::future<Reply>> SubmitTogether(
+    serve::InferenceServer& server,
+    std::vector<serve::SelectRequest> requests) {
+  std::vector<std::future<Reply>> futures;
+  std::vector<serve::InferenceServer::AsyncItem> items(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto reply = std::make_shared<std::promise<Reply>>();
+    futures.push_back(reply->get_future());
+    items[i].request = std::move(requests[i]);
+    items[i].done = [reply](Reply response) {
+      reply->set_value(std::move(response));
+    };
+  }
+  server.SubmitBatch(std::move(items));
+  return futures;
+}
+
 /// Hands `request` to the server as a one-item SubmitBatch (so each call
 /// is admitted on its own) and returns a future for its reply.
 inline std::future<Reply> SubmitOne(serve::InferenceServer& server,
                                     serve::SelectRequest request) {
-  auto reply = std::make_shared<std::promise<Reply>>();
-  std::future<Reply> future = reply->get_future();
-  std::vector<serve::InferenceServer::AsyncItem> items(1);
-  items[0].request = std::move(request);
-  items[0].done = [reply](Reply response) {
-    reply->set_value(std::move(response));
-  };
-  server.SubmitBatch(std::move(items));
-  return future;
+  std::vector<serve::SelectRequest> one;
+  one.push_back(std::move(request));
+  return std::move(SubmitTogether(server, std::move(one)).front());
 }
 
 /// Submits one request and waits for its reply.
@@ -44,6 +58,44 @@ inline Reply RunRequest(serve::InferenceServer& server,
                         serve::SelectRequest request) {
   return SubmitOne(server, std::move(request)).get();
 }
+
+/// Holds `count` of a started server's workers busy: each takes its own
+/// copy of `request`, whose `done` blocks until Release() (or
+/// destruction). The constructor returns once every held callback has
+/// been entered, so later submissions queue up until the release.
+class HeldWorkers {
+ public:
+  HeldWorkers(serve::InferenceServer& server,
+              const serve::SelectRequest& request, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      // One at a time: an idle worker would take two queued holds as one
+      // batch and leave another worker free.
+      auto entered = std::make_shared<std::latch>(1);
+      std::vector<serve::InferenceServer::AsyncItem> items(1);
+      items[0].request = request;
+      items[0].done = [entered, release = release_](Reply reply) {
+        KDSEL_CHECK(reply.ok());
+        entered->count_down();
+        release->wait();
+      };
+      server.SubmitBatch(std::move(items));
+      entered->wait();
+    }
+  }
+  ~HeldWorkers() { Release(); }
+
+  HeldWorkers(const HeldWorkers&) = delete;
+  HeldWorkers& operator=(const HeldWorkers&) = delete;
+
+  void Release() {
+    if (!released_) release_->count_down();
+    released_ = true;
+  }
+
+ private:
+  std::shared_ptr<std::latch> release_ = std::make_shared<std::latch>(1);
+  bool released_ = false;
+};
 
 /// What the server's ends of an adopted session are.
 enum class SessionFds { kPipes, kFiles };

@@ -384,9 +384,8 @@ int CmdServe(const Flags& flags) {
   if (sel_dir.empty()) {
     std::fprintf(stderr,
                  "usage: kdsel serve --dir SELECTOR_DIR [--workers 4]"
-                 " [--max-batch 8] [--max-delay-us 1000]\n"
-                 "             [--queue 1024] [--seed 42] [--preload]"
-                 " [--slo-ms 0]\n"
+                 " [--max-batch 8] [--queue 1024]\n"
+                 "             [--seed 42] [--preload] [--slo-ms 0]\n"
                  "             [--listen HOST:PORT [--shards 1]]\n"
                  "speaks newline-delimited JSON on stdin/stdout by default"
                  " (an inline {\"op\":\"ops\"}\n"
@@ -411,7 +410,6 @@ int CmdServe(const Flags& flags) {
   serve::ServerOptions opts;
   opts.num_workers = flags.GetInt("workers", 4);
   opts.max_batch = flags.GetInt("max-batch", 8);
-  opts.max_delay_us = static_cast<int64_t>(flags.GetInt("max-delay-us", 1000));
   opts.queue_capacity = flags.GetInt("queue", 1024);
   opts.detector_seed = flags.GetInt("seed", 42);
 
@@ -446,10 +444,9 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "kdsel serve: reading NDJSON from stdin,");
   }
   std::fprintf(stderr,
-               " slo %.3f ms, %zu workers, max_batch %zu, max_delay %lld us,"
-               " queue %zu\n",
+               " slo %.3f ms, %zu workers, max_batch %zu, queue %zu\n",
                net_opts.slo_ms, opts.num_workers, opts.max_batch,
-               static_cast<long long>(opts.max_delay_us), opts.queue_capacity);
+               opts.queue_capacity);
 
   net::WaitForShutdownSignal(net.adopted_done_fd());
   if (net::ShutdownRequested()) {
