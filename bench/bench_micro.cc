@@ -10,10 +10,11 @@
 // `bench_micro --report-kernels` times every compiled SIMD kernel
 // variant (scalar, generic, avx2 where supported) on a 256^3 MatMul, a
 // 256^3 int8 matmul, a Conv1d forward, and an end-to-end selector
-// forward (fp32 vs int8) at 1, 2 and 4 threads, plus one single-thread
-// inference row per ConvNet conv layer shape and precision, writing
-// BENCH_kernels.json with per-entry `speedup_vs_scalar` metrics (and
-// `speedup_vs_fp32` on the int8 rows).
+// forward (fp32 vs int8) at 1, 2 and 4 threads, plus single-thread
+// per-layer rows: one inference row per ConvNet conv layer shape and
+// precision, and one training-batch Conv1d backward row per layer shape
+// (`conv_bwd_fp32_*`). It writes BENCH_kernels.json with per-entry
+// `speedup_vs_scalar` metrics (and `speedup_vs_fp32` on the int8 rows).
 
 #include <benchmark/benchmark.h>
 
@@ -359,6 +360,29 @@ int RunKernelsReportMode() {
     conv_inputs.push_back(std::move(input));
   }
 
+  // Conv1d backward at the training batch (B = 64 windows of 64), fp32:
+  // the first ConvNet/ResNet layer, ConvNet's second and third, and
+  // ResNet's widest. The training forward caches each layer's input once;
+  // every timed Backward reuses it.
+  const ConvLayerBench bwd_layers[] = {{"1x16k7", 1, 16, 7},
+                                       {"16x32k5", 16, 32, 5},
+                                       {"32x32k3", 32, 32, 3},
+                                       {"32x32k7", 32, 32, 7}};
+  const size_t bwd_batch = 64;
+  std::vector<std::unique_ptr<nn::Conv1d>> conv_bwd;
+  std::vector<nn::Tensor> bwd_grads;
+  for (const ConvLayerBench& layer : bwd_layers) {
+    Rng wrng(25);
+    conv_bwd.push_back(std::make_unique<nn::Conv1d>(
+        layer.c_in, layer.c_out, layer.k, wrng, /*use_bias=*/false));
+    nn::Tensor input({bwd_batch, layer.c_in, conv_len});
+    nn::Tensor grad({bwd_batch, layer.c_out, conv_len});
+    for (float& v : input.mutable_data()) v = static_cast<float>(rng.Normal());
+    for (float& v : grad.mutable_data()) v = static_cast<float>(rng.Normal());
+    (void)conv_bwd.back()->Forward(input, /*training=*/true);
+    bwd_grads.push_back(std::move(grad));
+  }
+
   bench::BenchReport report("kernels");
   // Wall time of the scalar baseline, keyed "workload:threads" — scalar
   // is always SupportedVariants().front(), so baselines land first.
@@ -462,6 +486,24 @@ int RunKernelsReportMode() {
             }
             report.Add(std::move(e));
           }
+        }
+        // Per-layer conv backward, single-thread: the training-side record.
+        for (size_t i = 0; i < std::size(bwd_layers); ++i) {
+          bench::BenchEntry e;
+          e.name = std::string("conv_bwd_fp32_") + bwd_layers[i].shape + ":" +
+                   tag;
+          e.threads = threads;
+          e.items = static_cast<double>(bwd_batch);
+          e.items_unit = "windows";
+          e.wall_seconds = TimePerCall(3, 10, [&] {
+            benchmark::DoNotOptimize(conv_bwd[i]->Backward(bwd_grads[i]));
+          });
+          const std::string key = e.name.substr(0, e.name.find(':'));
+          if (variant == nn::kernels::Variant::kScalar) {
+            scalar_wall[key] = e.wall_seconds;
+          }
+          vs_scalar(e, key);
+          report.Add(std::move(e));
         }
         // End-to-end selector forward, single-thread: the serving-side
         // view of the int8 win (includes windowing-free fp32 tails).

@@ -228,12 +228,8 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
   const size_t K = kernel_size_;
   KDSEL_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == B &&
               grad_output.dim(1) == out_channels_ && grad_output.dim(2) == L);
-  const ptrdiff_t pad = static_cast<ptrdiff_t>((K - 1) / 2);
-  Tensor grad_input({B, in_channels_, L});
-  const float* x = cached_input_.raw();
-  const float* gy = grad_output.raw();
-  const float* w = weight_.value.raw();
-  float* gx = grad_input.raw();
+  Tensor grad_input;
+  grad_input.Resize({B, in_channels_, L});  // conv1d_backward overwrites it
 
   // grad_input slices are disjoint per batch item, but weight/bias
   // gradients reduce across the batch: each batch chunk accumulates into
@@ -249,37 +245,15 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
   gb_scratch.Zero();
 
   ParallelFor(B, grain, [&](size_t b_begin, size_t b_end) {
-  const size_t shard = b_begin / grain;
-  float* gw = gw_scratch.data() + shard * wsize;
-  float* gb = use_bias_ ? gb_scratch.data() + shard * out_channels_ : nullptr;
-  for (size_t b = b_begin; b < b_end; ++b) {
-    const float* xb = x + b * in_channels_ * L;
-    const float* gyb = gy + b * out_channels_ * L;
-    float* gxb = gx + b * in_channels_ * L;
-    for (size_t co = 0; co < out_channels_; ++co) {
-      const float* gyrow = gyb + co * L;
-      const float* wco = w + co * in_channels_ * K;
-      float* gwco = gw + co * in_channels_ * K;
-      if (use_bias_) gb[co] += ops.sum(gyrow, L);
-      for (size_t ci = 0; ci < in_channels_; ++ci) {
-        const float* xrow = xb + ci * L;
-        float* gxrow = gxb + ci * L;
-        const float* wk = wco + ci * K;
-        float* gwk = gwco + ci * K;
-        for (size_t k = 0; k < K; ++k) {
-          const ptrdiff_t shift = static_cast<ptrdiff_t>(k) - pad;
-          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
-          const size_t t_hi = shift > 0 ? L - static_cast<size_t>(shift) : L;
-          const size_t src_lo =
-              static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) + shift);
-          // Fused tap: accumulates the weight gradient and scatters the
-          // input gradient in one pass over the valid range.
-          gwk[k] += ops.conv_grad_tap(gyrow + t_lo, xrow + src_lo, wk[k],
-                                      gxrow + src_lo, t_hi - t_lo);
-        }
-      }
-    }
-  }
+    const size_t shard = b_begin / grain;
+    ScratchBuffer scratch(
+        kernels::Conv1dBackwardScratchFloats(in_channels_, out_channels_, K,
+                                             L));
+    ops.conv1d_backward(
+        cached_input_.raw(), grad_output.raw(), weight_.value.raw(),
+        grad_input.raw(), gw_scratch.data() + shard * wsize,
+        use_bias_ ? gb_scratch.data() + shard * out_channels_ : nullptr,
+        in_channels_, out_channels_, K, L, b_begin, b_end, scratch.data());
   });
 
   float* gw_out = weight_.grad.raw();

@@ -17,6 +17,9 @@ namespace kdsel::nn {
 /// symmetric scales keep the zero padding exact (zero-point 0), and while
 /// C_in*K <= 1040 every partial sum is an integer below 2^24, so the float
 /// sums equal the int32 ones. Wider layers use im2col + `i8_matmul_tb`.
+/// The backward runs the `conv1d_backward` kernel per batch chunk into
+/// per-shard weight/bias gradient scratch, summed in ascending shard
+/// order, so gradients are the same at any thread count.
 class Conv1d : public Module, public Quantizable {
  public:
   Conv1d(size_t in_channels, size_t out_channels, size_t kernel_size,

@@ -65,7 +65,16 @@ struct Ops {
   /// sum_i double(x[i])^2, accumulated in double
   double (*squared_l2)(const float* x, size_t n);
   /// Fused Conv1d backward tap: gx[i] += w * gy[i]; returns
-  /// sum_i gy[i] * x[i] (the weight-gradient contribution).
+  /// sum_i gy[i] * x[i] (the weight-gradient contribution). The per-tap
+  /// reference conv1d_backward is pinned against. Exact order on the
+  /// vector variants: lanes count from gy[0]; vector chunk m of x*gy adds
+  /// into a0 when m is even and a1 when odd (both from +0); the sum is
+  /// the in-lane-order horizontal sum of a0 + a1, then the n % width tail
+  /// in order. On an FMA build (avx2) each chunk step is fused and the
+  /// tail is pinned: with 4 or more tail elements the first 4 products
+  /// are rounded and then added, every other tail step is fused; every
+  /// gx update is fused. Without FMA (generic, scalar) every step is a
+  /// multiply then an add.
   float (*conv_grad_tap)(const float* gy, const float* x, float w, float* gx,
                          size_t n);
   /// Conv1d forward, stride 1, "same" zero padding ((k-1)/2 left, k/2
@@ -83,6 +92,24 @@ struct Ops {
   void (*conv1d_forward)(const float* x, const float* w, const float* bias,
                          float* y, size_t c_in, size_t c_out, size_t k,
                          size_t l, size_t b0, size_t b1, float* scratch);
+  /// Conv1d backward for conv1d_forward's convolution (stride 1, "same"
+  /// padding), batch items [b0, b1): x:[B, c_in, l] is the forward input,
+  /// gy:[B, c_out, l] the output gradient, w:[c_out, c_in, k]. Overwrites
+  /// the gx:[B, c_in, l] rows; accumulates gw:[c_out, c_in, k] and, unless
+  /// gb == nullptr, gb:[c_out] in ascending batch order. Every bit is that
+  /// of the per-tap loop built from this variant's conv_grad_tap and sum:
+  /// gx starts at +0 and takes one conv_grad_tap per (co, ci, tap) over the
+  /// tap's valid range, co ascending then tap ascending;
+  /// gw[co][ci][tap] += that call's return per batch item; gb[co] +=
+  /// sum(gy row) per batch item. As for the forward, gx rows read a
+  /// zero-padded copy of gy, which is exact for finite weights unless a
+  /// fused product underflows to -0. `scratch` holds
+  /// Conv1dBackwardScratchFloats(c_in, c_out, k, l) floats owned by the
+  /// caller.
+  void (*conv1d_backward)(const float* x, const float* gy, const float* w,
+                          float* gx, float* gw, float* gb, size_t c_in,
+                          size_t c_out, size_t k, size_t l, size_t b0,
+                          size_t b1, float* scratch);
 
   /// y = softmax(x) over one row of length m (max-shifted, double-
   /// accumulated normalizer; matches the original SoftmaxRows math).
@@ -119,12 +146,13 @@ struct Ops {
   const char* i8_impl;
 };
 
-/// Positions per padded input row of conv1d_forward round up to this
-/// multiple: the widest variant's position tile, so a tile that starts
-/// inside the row never reads past it.
+/// Positions per padded row of the conv kernels' scratch round up to
+/// this multiple: the widest variant's position tile, so a tile that
+/// starts inside the row never reads past it.
 inline constexpr size_t kConv1dRowAlign = 16;
 
-/// Pitch of one zero-padded input row in conv1d_forward's scratch.
+/// Pitch of one zero-padded row in conv1d_forward's scratch (input rows)
+/// and conv1d_backward's (gy rows).
 inline size_t Conv1dPaddedRow(size_t k, size_t l) {
   return (l + kConv1dRowAlign - 1) / kConv1dRowAlign * kConv1dRowAlign + k -
          1;
@@ -133,6 +161,14 @@ inline size_t Conv1dPaddedRow(size_t k, size_t l) {
 /// Scratch floats one conv1d_forward call needs (any batch range).
 inline size_t Conv1dScratchFloats(size_t c_in, size_t k, size_t l) {
   return c_in * Conv1dPaddedRow(k, l);
+}
+
+/// Scratch floats one conv1d_backward call needs (any batch range): one
+/// zero-padded gy row per output channel, gy transposed to [l, c_out],
+/// and the weight gradient transposed to [c_in * k, c_out].
+inline size_t Conv1dBackwardScratchFloats(size_t c_in, size_t c_out, size_t k,
+                                          size_t l) {
+  return c_out * (Conv1dPaddedRow(k, l) + l + c_in * k);
 }
 
 /// The active kernel table. Resolved once (CPUID best, overridable via

@@ -20,6 +20,7 @@
 #define KDSEL_VEC_WIDTH 8
 #define KDSEL_VEC_VARIANT Variant::kAvx2
 #define KDSEL_VEC_NAME "avx2"
+#define KDSEL_VEC_FMA 1
 // This TU supplies its own int8 kernels below instead of the scalar
 // reference in kernels_i8_ref.inc.
 #define KDSEL_VEC_I8_EXTERNAL 1

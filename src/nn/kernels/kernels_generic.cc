@@ -12,6 +12,7 @@
 #define KDSEL_VEC_WIDTH 4
 #define KDSEL_VEC_VARIANT Variant::kGeneric
 #define KDSEL_VEC_NAME "generic"
+#define KDSEL_VEC_FMA 0
 
 namespace kdsel::nn::kernels {
 namespace generic {

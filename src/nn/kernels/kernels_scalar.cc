@@ -159,6 +159,45 @@ KDSEL_HOT void Conv1dForward(const float* x, const float* w, const float* bias,
   }
 }
 
+// The original Conv1d::Backward loop nest: gx rows start at +0, then one
+// fused conv_grad_tap per (co, ci, tap) over the tap's valid range
+// scatters into gx and returns the weight-gradient dot; the bias
+// gradient sums each gy row. Reads no padded copy, so `scratch` goes
+// unused.
+KDSEL_HOT void Conv1dBackward(const float* x, const float* gy, const float* w,
+                              float* gx, float* gw, float* gb, size_t c_in,
+                              size_t c_out, size_t k, size_t l, size_t b0,
+                              size_t b1, float* /*scratch*/) {
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((k - 1) / 2);
+  for (size_t b = b0; b < b1; ++b) {
+    const float* xb = x + b * c_in * l;
+    const float* gyb = gy + b * c_out * l;
+    float* gxb = gx + b * c_in * l;
+    std::fill(gxb, gxb + c_in * l, 0.0f);
+    for (size_t co = 0; co < c_out; ++co) {
+      const float* gyrow = gyb + co * l;
+      const float* wco = w + co * c_in * k;
+      float* gwco = gw + co * c_in * k;
+      if (gb != nullptr) gb[co] += Sum(gyrow, l);
+      for (size_t ci = 0; ci < c_in; ++ci) {
+        const float* xrow = xb + ci * l;
+        float* gxrow = gxb + ci * l;
+        const float* wk = wco + ci * k;
+        float* gwk = gwco + ci * k;
+        for (size_t kk = 0; kk < k; ++kk) {
+          const ptrdiff_t shift = static_cast<ptrdiff_t>(kk) - pad;
+          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
+          const size_t t_hi = shift > 0 ? l - static_cast<size_t>(shift) : l;
+          const size_t src_lo =
+              static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) + shift);
+          gwk[kk] += ConvGradTap(gyrow + t_lo, xrow + src_lo, wk[kk],
+                                 gxrow + src_lo, t_hi - t_lo);
+        }
+      }
+    }
+  }
+}
+
 KDSEL_HOT void SoftmaxRow(const float* x, float* y, size_t m) {
   float mx = x[0];
   for (size_t j = 1; j < m; ++j) mx = std::max(mx, x[j]);
@@ -204,6 +243,7 @@ const Ops kOps = {
     SquaredL2,
     ConvGradTap,
     Conv1dForward,
+    Conv1dBackward,
     SoftmaxRow,
     AdamUpdate,
     I8Quantize,

@@ -531,6 +531,260 @@ TEST_P(KernelEquivalenceTest, Conv1dForwardZeroRowsKeepSignedZeros) {
   }
 }
 
+// conv_grad_tap's documented order, modelled one scalar operation at a
+// time: lanes count from element 0, chunk m of `width` elements adds into
+// a0 (m even) or a1 (m odd), then HSum(a0 + a1) in lane order, then the
+// tail. An FMA build fuses the chunk steps, fuses the tail except for the
+// first 4 products of a tail of 4 or more (rounded, then added), and
+// fuses every gx update; a build without FMA multiplies then adds.
+enum class TailRounding { kPinned, kAllFused, kAllRounded };
+
+struct TapOrder {
+  size_t width;  // lanes per chunk; 1 is the scalar loop
+  bool fma;      // fused chunk steps and gx updates
+  TailRounding tail;
+};
+
+TapOrder DocumentedTapOrder(Variant v) {
+  switch (v) {
+    case Variant::kScalar:
+      return {1, false, TailRounding::kAllRounded};
+    case Variant::kGeneric:
+      return {4, false, TailRounding::kAllRounded};
+    case Variant::kAvx2:
+      return {8, true, TailRounding::kPinned};
+  }
+  return {1, false, TailRounding::kAllRounded};
+}
+
+// acc + a * b with the product rounded to float first.
+float MulThenAdd(float acc, float a, float b) {
+  const float p = a * b;
+  return acc + p;
+}
+
+float ModelTapSum(const std::vector<float>& gy, const std::vector<float>& x,
+                  const TapOrder& order) {
+  const size_t n = gy.size(), w = order.width;
+  const size_t body = w == 1 ? 0 : n / w * w;
+  float acc = 0.0f;
+  if (w > 1) {
+    std::vector<float> a0(w, 0.0f), a1(w, 0.0f);
+    for (size_t t = 0; t < body; ++t) {
+      float& a = (t / w) % 2 == 0 ? a0[t % w] : a1[t % w];
+      a = order.fma ? std::fmaf(gy[t], x[t], a) : MulThenAdd(a, gy[t], x[t]);
+    }
+    acc = a0[0] + a1[0];
+    for (size_t lane = 1; lane < w; ++lane) acc += a0[lane] + a1[lane];
+  }
+  const size_t tail = n - body;
+  for (size_t j = 0; j < tail; ++j) {
+    const size_t t = body + j;
+    const bool rounded =
+        order.tail == TailRounding::kAllRounded ||
+        (order.tail == TailRounding::kPinned && tail >= 4 && j < 4);
+    acc = rounded ? MulThenAdd(acc, gy[t], x[t]) : std::fmaf(gy[t], x[t], acc);
+  }
+  return acc;
+}
+
+TEST_P(KernelEquivalenceTest, ConvGradTapTailOrderIsPinned) {
+  // n = 8..23 gives every tail length 0-7 on every width. Products near
+  // 1 with alternating signs keep the running sum small, so a product's
+  // rounding error often moves the sum: fused and rounded steps disagree,
+  // which the avx2 checks at the end confirm, so a changed tail order
+  // cannot pass unseen.
+  Rng rng(140);
+  const TapOrder order = DocumentedTapOrder(GetParam());
+  TapOrder all_fused = order, all_rounded = order;
+  all_fused.tail = TailRounding::kAllFused;
+  all_rounded.tail = TailRounding::kAllRounded;
+  size_t differs_from_fused = 0, differs_from_rounded = 0;
+  for (size_t n = 8; n <= 23; ++n) {
+    const auto gy = RandomVec(n, rng, 1.0, 1.1);
+    auto x = RandomVec(n, rng, 1.0, 1.1);
+    for (size_t t = 1; t < n; t += 2) x[t] = -x[t];
+    const float w = static_cast<float>(rng.Uniform(0.3, 1.7));
+    const auto gx0 = RandomVec(n, rng);
+    std::vector<float> gx = gx0, gx_model = gx0;
+    const float sum = ops().conv_grad_tap(gy.data(), x.data(), w, gx.data(), n);
+    const float model = ModelTapSum(gy, x, order);
+    for (size_t t = 0; t < n; ++t) {
+      gx_model[t] = order.fma ? std::fmaf(gy[t], w, gx_model[t])
+                              : MulThenAdd(gx_model[t], gy[t], w);
+    }
+    const std::string label =
+        Label("conv_grad_tap tail order") + " n=" + std::to_string(n);
+    EXPECT_EQ(std::memcmp(&sum, &model, sizeof(float)), 0)
+        << label << ": sum " << sum << ", model " << model;
+    ExpectBitwiseEqual(gx_model, gx, label + " gx");
+    const float fused = ModelTapSum(gy, x, all_fused);
+    const float rounded = ModelTapSum(gy, x, all_rounded);
+    differs_from_fused += std::memcmp(&model, &fused, sizeof(float)) != 0;
+    differs_from_rounded += std::memcmp(&model, &rounded, sizeof(float)) != 0;
+  }
+  if (order.fma) {
+    EXPECT_GT(differs_from_fused, 0u) << Label("inputs cannot see the order");
+    EXPECT_GT(differs_from_rounded, 0u)
+        << Label("inputs cannot see the order");
+  }
+}
+
+// ------------------------------------------------- conv1d backward
+//
+// conv1d_backward promises bits too: gx, gw and gb are exactly those of
+// the original Conv1d::Backward loop, which ReferenceConvBackward
+// rebuilds from the same variant's conv_grad_tap and sum.
+
+// kConvShapes plus the CNN detector's second layer (biased, window 32).
+std::vector<ConvShape> ConvBackwardShapes() {
+  std::vector<ConvShape> shapes(std::begin(kConvShapes), std::end(kConvShapes));
+  shapes.push_back({8, 8, 5, 32});
+  return shapes;
+}
+
+struct ConvGrads {
+  std::vector<float> gx, gw, gb;
+};
+
+// The original Conv1d::Backward loop nest for batch items [b0, b1): gx
+// rows from +0, one conv_grad_tap per (co, ci, tap) over the tap's
+// valid range adding into gw, and sum(gy row) adding into gb.
+void ReferenceConvBackward(const Ops& ops, const std::vector<float>& x,
+                           const std::vector<float>& gy,
+                           const std::vector<float>& w, ConvGrads& g,
+                           bool bias, const ConvShape& s, size_t b0,
+                           size_t b1) {
+  const ptrdiff_t pad = static_cast<ptrdiff_t>((s.k - 1) / 2);
+  for (size_t b = b0; b < b1; ++b) {
+    float* gxb = g.gx.data() + b * s.c_in * s.l;
+    std::fill(gxb, gxb + s.c_in * s.l, 0.0f);
+    for (size_t co = 0; co < s.c_out; ++co) {
+      const float* gyrow = gy.data() + (b * s.c_out + co) * s.l;
+      if (bias) g.gb[co] += ops.sum(gyrow, s.l);
+      for (size_t ci = 0; ci < s.c_in; ++ci) {
+        const float* xrow = x.data() + (b * s.c_in + ci) * s.l;
+        for (size_t k = 0; k < s.k; ++k) {
+          const ptrdiff_t shift = static_cast<ptrdiff_t>(k) - pad;
+          const size_t t_lo = shift < 0 ? static_cast<size_t>(-shift) : 0;
+          const size_t t_hi =
+              shift > 0 ? s.l - static_cast<size_t>(shift) : s.l;
+          const size_t src_lo =
+              static_cast<size_t>(static_cast<ptrdiff_t>(t_lo) + shift);
+          const size_t wi = (co * s.c_in + ci) * s.k + k;
+          g.gw[wi] += ops.conv_grad_tap(gyrow + t_lo, xrow + src_lo, w[wi],
+                                        gxb + ci * s.l + src_lo, t_hi - t_lo);
+        }
+      }
+    }
+  }
+}
+
+void RunConvBackward(const Ops& ops, const std::vector<float>& x,
+                     const std::vector<float>& gy, const std::vector<float>& w,
+                     ConvGrads& g, bool bias, const ConvShape& s, size_t b0,
+                     size_t b1) {
+  std::vector<float> scratch(
+      Conv1dBackwardScratchFloats(s.c_in, s.c_out, s.k, s.l));
+  ops.conv1d_backward(x.data(), gy.data(), w.data(), g.gx.data(), g.gw.data(),
+                      bias ? g.gb.data() : nullptr, s.c_in, s.c_out, s.k,
+                      s.l, b0, b1, scratch.data());
+}
+
+void ExpectGradsBitwiseEqual(const ConvGrads& ref, const ConvGrads& got,
+                             const std::string& label) {
+  ExpectBitwiseEqual(ref.gx, got.gx, label + " gx");
+  ExpectBitwiseEqual(ref.gw, got.gw, label + " gw");
+  ExpectBitwiseEqual(ref.gb, got.gb, label + " gb");
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dBackwardMatchesPerTapLoopBitwise) {
+  Rng rng(141);
+  for (const ConvShape& s : ConvBackwardShapes()) {
+    for (size_t batch : {size_t{1}, size_t{3}}) {
+      const auto x = RandomVec(batch * s.c_in * s.l, rng, -2.0, 2.0);
+      const auto gy = RandomVec(batch * s.c_out * s.l, rng);
+      const auto w = RandomVec(s.c_out * s.c_in * s.k, rng);
+      for (bool bias : {false, true}) {
+        // gw and gb accumulate onto what they hold; gx is overwritten.
+        ConvGrads ref{std::vector<float>(batch * s.c_in * s.l),
+                      RandomVec(w.size(), rng), RandomVec(s.c_out, rng)};
+        ConvGrads got = ref;
+        std::fill(got.gx.begin(), got.gx.end(), -7.0f);
+        ReferenceConvBackward(ops(), x, gy, w, ref, bias, s, 0, batch);
+        RunConvBackward(ops(), x, gy, w, got, bias, s, 0, batch);
+        ExpectGradsBitwiseEqual(
+            ref, got,
+            ConvLabel(Label(bias ? "conv1d_backward+bias" : "conv1d_backward"),
+                      s, batch));
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dBackwardBatchChunksMatchOneCall) {
+  // ParallelFor hands the kernel arbitrary [b0, b1) ranges: chunked
+  // calls must reproduce one full-range call (gw and gb still add in
+  // ascending batch order) and leave other items' gx rows alone.
+  Rng rng(142);
+  const ConvShape s{5, 9, 5, 21};
+  const size_t batch = 7, row = s.c_in * s.l;
+  const auto x = RandomVec(batch * row, rng);
+  const auto gy = RandomVec(batch * s.c_out * s.l, rng);
+  const auto w = RandomVec(s.c_out * s.c_in * s.k, rng);
+  const ConvGrads init{std::vector<float>(batch * row, 5.0f),
+                       RandomVec(w.size(), rng), RandomVec(s.c_out, rng)};
+  ConvGrads full = init, chunked = init;
+  RunConvBackward(ops(), x, gy, w, full, true, s, 0, batch);
+  const size_t cuts[] = {0, 1, 3, 4, 7};
+  for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    RunConvBackward(ops(), x, gy, w, chunked, true, s, cuts[i], cuts[i + 1]);
+    for (size_t j = cuts[i + 1] * row; j < batch * row; ++j) {
+      ASSERT_EQ(chunked.gx[j], 5.0f)
+          << Label("conv1d_backward chunk wrote past its rows") << " cut "
+          << i << " element " << j;
+    }
+  }
+  ExpectGradsBitwiseEqual(full, chunked, Label("conv1d_backward chunks"));
+  ConvGrads ref = init;
+  ReferenceConvBackward(ops(), x, gy, w, ref, true, s, 0, batch);
+  ExpectGradsBitwiseEqual(ref, full, Label("conv1d_backward chunked ref"));
+}
+
+TEST_P(KernelEquivalenceTest, Conv1dBackwardZeroRowsKeepSignedZeros) {
+  // Zero gy rows against negative weights make every gx product -0 (a
+  // -0 row flips them to +0), at the padded edges too: gx must carry the
+  // reference's zero signs, which start from +0 and so never go -0. One
+  // live gy element and one live x element make some sums nonzero. Nine
+  // output channels run both the 8-channel block and the leftover path.
+  const ConvShape s{3, 9, 7, 19};
+  std::vector<float> gy_plus(s.c_out * s.l, 0.0f);
+  gy_plus[4 * s.l + s.l / 2] = 1.5f;
+  std::vector<float> gy_minus = gy_plus;
+  for (size_t t = 0; t < s.l; ++t) gy_minus[1 * s.l + t] = -0.0f;
+  std::vector<float> x(s.c_in * s.l, -0.0f);
+  x[2 * s.l + 3] = 0.75f;
+  std::vector<float> w(s.c_out * s.c_in * s.k);
+  for (size_t i = 0; i < w.size(); ++i) {
+    w[i] = -0.25f - 0.01f * static_cast<float>(i % 7);
+  }
+  for (const auto* gy : {&gy_plus, &gy_minus}) {
+    ConvGrads ref{std::vector<float>(s.c_in * s.l),
+                  std::vector<float>(w.size(), 0.0f),
+                  std::vector<float>(s.c_out, -0.0f)};
+    ConvGrads got = ref;
+    std::fill(got.gx.begin(), got.gx.end(), 9.0f);
+    ReferenceConvBackward(ops(), x, *gy, w, ref, true, s, 0, 1);
+    RunConvBackward(ops(), x, *gy, w, got, true, s, 0, 1);
+    ExpectGradsBitwiseEqual(ref, got, Label("conv1d_backward signed zeros"));
+    for (float v : got.gx) {
+      if (v == 0.0f) {
+        EXPECT_FALSE(std::signbit(v)) << Label("-0 grad input");
+      }
+    }
+  }
+}
+
 // Int8 conv through Conv1d (under this variant's dispatch) against the
 // im2col reference it replaced: quantize, gather taps (zero-padded),
 // i8_matmul_tb with the fused requantize, transpose.

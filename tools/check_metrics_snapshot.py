@@ -17,9 +17,10 @@ kdsel.stream.* instrumentation.
 all must carry the full workload set including the int8 rows
 (i8_matmul_256, selector_forward_int8) with their speedup_vs_fp32
 metric and one fp32 and one int8 row per ConvNet conv layer shape
-(conv_fp32_* / conv_int8_*) with its speedup_vs_scalar, and no row may
-smuggle in a non-positive speedup_vs_1t (the writer omits the key when
-there is no 1-thread baseline).
+(conv_fp32_* / conv_int8_*) and one training-batch Conv1d backward row
+per layer shape (conv_bwd_fp32_*), each with its speedup_vs_scalar, and
+no row may smuggle in a non-positive speedup_vs_1t (the writer omits the
+key when there is no 1-thread baseline).
 
 `--profile serving` validates a BENCH_serving.json written by
 bench_serving: every row must carry the latency percentiles
@@ -84,13 +85,21 @@ CONV_LAYER_WORKLOADS = [
     for precision in ("fp32", "int8")
 ]
 
+# The per-layer backward rows are the before/after record of the Conv1d
+# backward kernel: the first layer, ConvNet's second and third, and
+# ResNet's widest, at the training batch.
+CONV_BWD_LAYER_SHAPES = ["1x16k7", "16x32k5", "32x32k3", "32x32k7"]
+CONV_BWD_LAYER_WORKLOADS = [
+    f"conv_bwd_fp32_{shape}" for shape in CONV_BWD_LAYER_SHAPES
+]
+
 KERNEL_WORKLOADS = [
     "matmul_256",
     "i8_matmul_256",
     "conv1d_forward",
     "selector_forward_fp32",
     "selector_forward_int8",
-] + CONV_LAYER_WORKLOADS
+] + CONV_LAYER_WORKLOADS + CONV_BWD_LAYER_WORKLOADS
 
 # (workload prefix, required metrics key) for kernel report rows.
 KERNEL_REQUIRED_METRICS = [
@@ -98,7 +107,7 @@ KERNEL_REQUIRED_METRICS = [
     ("i8_matmul_256:", "speedup_vs_scalar"),
     ("selector_forward_int8:", "speedup_vs_fp32"),
 ] + [(f"{workload}:", "speedup_vs_scalar")
-     for workload in CONV_LAYER_WORKLOADS]
+     for workload in CONV_LAYER_WORKLOADS + CONV_BWD_LAYER_WORKLOADS]
 
 
 def check_bench_kernels(path, snapshot):
@@ -315,7 +324,7 @@ def main(argv):
             return 1
         print(
             f"{path}: ok ({len(snapshot['entries'])} rows, int8 and "
-            "per-layer conv workloads present)"
+            "per-layer conv forward/backward workloads present)"
         )
         return 0
 
