@@ -12,9 +12,12 @@
 // 256^3 int8 matmul, a Conv1d forward, and an end-to-end selector
 // forward (fp32 vs int8) at 1, 2 and 4 threads, plus single-thread
 // per-layer rows: one inference row per ConvNet conv layer shape and
-// precision, and one training-batch Conv1d backward row per layer shape
-// (`conv_bwd_fp32_*`). It writes BENCH_kernels.json with per-entry
-// `speedup_vs_scalar` metrics (and `speedup_vs_fp32` on the int8 rows).
+// precision, one training-batch Conv1d backward row per layer shape
+// (`conv_bwd_fp32_*`), ReLU backward at ResNet's two widths
+// (`relu_bwd_fp32_*`) and one whole ResNet training step, forward plus
+// backward (`resnet_step_fp32_b64`). It writes BENCH_kernels.json with
+// per-entry `speedup_vs_scalar` metrics (and `speedup_vs_fp32` on the
+// int8 rows).
 
 #include <benchmark/benchmark.h>
 
@@ -383,6 +386,42 @@ int RunKernelsReportMode() {
     bwd_grads.push_back(std::move(grad));
   }
 
+  // ReLU backward at the training batch (B = 64, L = 64) for ResNet's two
+  // widths. The loop is not in the Ops table, so every variant runs the
+  // same code; the rows record the layer, not a kernel choice. Inputs
+  // are normals, so about half of the cached outputs are zero, as after
+  // BatchNorm.
+  struct ReluBench {
+    const char* shape;
+    size_t channels;
+  };
+  const ReluBench relu_layers[] = {{"16x64", 16}, {"32x64", 32}};
+  std::vector<std::unique_ptr<nn::ReLU>> relus;
+  std::vector<nn::Tensor> relu_grads;
+  for (const ReluBench& layer : relu_layers) {
+    relus.push_back(std::make_unique<nn::ReLU>());
+    nn::Tensor input({bwd_batch, layer.channels, conv_len});
+    nn::Tensor grad({bwd_batch, layer.channels, conv_len});
+    for (float& v : input.mutable_data()) v = static_cast<float>(rng.Normal());
+    for (float& v : grad.mutable_data()) v = static_cast<float>(rng.Normal());
+    (void)relus.back()->Forward(input, /*training=*/true);
+    relu_grads.push_back(std::move(grad));
+  }
+
+  // One ResNet training step, forward plus backward, at B = 64, L = 64:
+  // every layer the selector's training batch runs through the backbone.
+  Rng resnet_rng(26);
+  auto resnet = selectors::BuildBackbone("ResNet", conv_len, resnet_rng);
+  KDSEL_CHECK(resnet.ok());
+  nn::Tensor resnet_x({bwd_batch, conv_len});
+  nn::Tensor resnet_g({bwd_batch, (*resnet)->feature_dim()});
+  for (float& v : resnet_x.mutable_data()) {
+    v = static_cast<float>(resnet_rng.Normal());
+  }
+  for (float& v : resnet_g.mutable_data()) {
+    v = static_cast<float>(resnet_rng.Normal());
+  }
+
   bench::BenchReport report("kernels");
   // Wall time of the scalar baseline, keyed "workload:threads" — scalar
   // is always SupportedVariants().front(), so baselines land first.
@@ -497,6 +536,42 @@ int RunKernelsReportMode() {
           e.items_unit = "windows";
           e.wall_seconds = TimePerCall(3, 10, [&] {
             benchmark::DoNotOptimize(conv_bwd[i]->Backward(bwd_grads[i]));
+          });
+          const std::string key = e.name.substr(0, e.name.find(':'));
+          if (variant == nn::kernels::Variant::kScalar) {
+            scalar_wall[key] = e.wall_seconds;
+          }
+          vs_scalar(e, key);
+          report.Add(std::move(e));
+        }
+        // Per-layer ReLU backward and the whole ResNet step,
+        // single-thread: the rest of the training-side record.
+        for (size_t i = 0; i < std::size(relu_layers); ++i) {
+          bench::BenchEntry e;
+          e.name = std::string("relu_bwd_fp32_") + relu_layers[i].shape +
+                   ":" + tag;
+          e.threads = threads;
+          e.items = static_cast<double>(bwd_batch);
+          e.items_unit = "windows";
+          e.wall_seconds = TimePerCall(5, 50, [&] {
+            benchmark::DoNotOptimize(relus[i]->Backward(relu_grads[i]));
+          });
+          const std::string key = e.name.substr(0, e.name.find(':'));
+          if (variant == nn::kernels::Variant::kScalar) {
+            scalar_wall[key] = e.wall_seconds;
+          }
+          vs_scalar(e, key);
+          report.Add(std::move(e));
+        }
+        {
+          bench::BenchEntry e;
+          e.name = "resnet_step_fp32_b64:" + tag;
+          e.threads = threads;
+          e.items = static_cast<double>(bwd_batch);
+          e.items_unit = "windows";
+          e.wall_seconds = TimePerCall(3, 5, [&] {
+            (void)(*resnet)->Forward(resnet_x, /*training=*/true);
+            benchmark::DoNotOptimize((*resnet)->Backward(resnet_g));
           });
           const std::string key = e.name.substr(0, e.name.find(':'));
           if (variant == nn::kernels::Variant::kScalar) {

@@ -11,11 +11,11 @@ MkiHead::MkiHead(const Options& options, Rng& rng) : options_(options) {
   h_t_.Add(std::make_unique<nn::ReLU>());
   h_t_.Add(std::make_unique<nn::Linear>(options_.hidden, options_.shared_dim,
                                         rng));
-  h_k_.Add(std::make_unique<nn::Linear>(options_.text_feature_dim,
-                                        options_.hidden, rng));
-  h_k_.Add(std::make_unique<nn::ReLU>());
-  h_k_.Add(std::make_unique<nn::Linear>(options_.hidden, options_.shared_dim,
-                                        rng));
+  h_k_in_ = h_k_.Add(std::make_unique<nn::Linear>(options_.text_feature_dim,
+                                                  options_.hidden, rng));
+  h_k_act_ = h_k_.Add(std::make_unique<nn::ReLU>());
+  h_k_out_ = h_k_.Add(std::make_unique<nn::Linear>(
+      options_.hidden, options_.shared_dim, rng));
 }
 
 std::vector<nn::Parameter*> MkiHead::Parameters() {
@@ -48,12 +48,15 @@ void MkiHead::ComputeLoss(const nn::Tensor& z_t, const nn::Tensor& z_k,
               &nce_scratch_);
 
   // Scale by lambda and backpropagate through both projections. The
-  // text encoder itself is frozen, so grad wrt z_k stops at h_k.
+  // text encoder itself is frozen, so the gradient stops at h_k's first
+  // layer, which accumulates its parameter gradients only: no gradient
+  // w.r.t. z_k is computed.
   const float lambda = static_cast<float>(options_.lambda);
   nce_scratch_.grad_a.ScaleInPlace(lambda);
   nce_scratch_.grad_b.ScaleInPlace(lambda);
   result->grad_z_t = h_t_.Backward(nce_scratch_.grad_a);
-  (void)h_k_.Backward(nce_scratch_.grad_b);
+  h_k_in_->BackwardParams(
+      h_k_act_->Backward(h_k_out_->Backward(nce_scratch_.grad_b)));
   result->loss = options_.lambda * nce_scratch_.mean_loss;
   result->per_sample.assign(nce_scratch_.per_sample.begin(),
                             nce_scratch_.per_sample.end());

@@ -58,6 +58,8 @@ class MkiHead {
                    const std::vector<float>& weights,
                    const std::vector<size_t>& group_ids, Result* result);
 
+  /// h_T's parameters, then h_K's; the optimizer's state follows this
+  /// order.
   std::vector<nn::Parameter*> Parameters();
 
   const Options& options() const { return options_; }
@@ -66,6 +68,11 @@ class MkiHead {
   Options options_;
   nn::Sequential h_t_;
   nn::Sequential h_k_;
+  // h_k_'s three layers, owned by h_k_. Its backward runs layer by layer
+  // so the first one stops at the frozen text embeddings.
+  nn::Linear* h_k_in_ = nullptr;
+  nn::ReLU* h_k_act_ = nullptr;
+  nn::Linear* h_k_out_ = nullptr;
   nn::InfoNceResult nce_scratch_;
 };
 

@@ -496,7 +496,9 @@ Status TrainedSelector::Save(const std::string& prefix) const {
   std::vector<const nn::Tensor*> tensors;
   for (nn::Parameter* p : backbone_->Parameters()) tensors.push_back(&p->value);
   for (nn::Tensor* t : backbone_->StateTensors()) tensors.push_back(t);
-  for (nn::Parameter* p : classifier_->Parameters()) tensors.push_back(&p->value);
+  for (nn::Parameter* p : classifier_->Parameters()) {
+    tensors.push_back(&p->value);
+  }
   // Int8 checkpoints persist fp32 weights + the activation scales as one
   // trailing tensor: weight quantization is deterministic, so the scales
   // alone reproduce the quantized model bit-for-bit on load.
@@ -560,7 +562,9 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
   std::vector<nn::Tensor*> targets;
   for (nn::Parameter* p : backbone->Parameters()) targets.push_back(&p->value);
   for (nn::Tensor* t : backbone->StateTensors()) targets.push_back(t);
-  for (nn::Parameter* p : classifier->Parameters()) targets.push_back(&p->value);
+  for (nn::Parameter* p : classifier->Parameters()) {
+    targets.push_back(&p->value);
+  }
   // Int8 checkpoints carry one trailing activation-scales tensor past the
   // fp32 weights (see Save).
   const size_t expected = targets.size() + (int8 ? 1 : 0);
@@ -627,7 +631,7 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainSelector(
       if (inserted) unique_texts.push_back(t);
       text_index.push_back(it->second);
     }
-    text::HashedTextEncoder encoder;
+    const text::HashedTextEncoder& encoder = text::DefaultTextEncoder();
     text_embeddings = encoder.EncodeBatch(unique_texts);
     MkiHead::Options mo;
     mo.ts_feature_dim = backbone->feature_dim();

@@ -21,8 +21,8 @@ namespace {
 // accumulates over kk in ascending order.
 constexpr size_t kColTile = 128;
 
-KDSEL_HOT void MatMulRows(const float* a, const float* b, float* c, size_t k, size_t m,
-                size_t i0, size_t i1) {
+KDSEL_HOT void MatMulRows(const float* a, const float* b, float* c, size_t k,
+                          size_t m, size_t i0, size_t i1) {
   for (size_t jb = 0; jb < m; jb += kColTile) {
     const size_t jend = std::min(m, jb + kColTile);
     for (size_t i = i0; i < i1; ++i) {
@@ -37,8 +37,8 @@ KDSEL_HOT void MatMulRows(const float* a, const float* b, float* c, size_t k, si
   }
 }
 
-KDSEL_HOT void MatMulTbRows(const float* a, const float* b, float* c, size_t k, size_t m,
-                  size_t i0, size_t i1) {
+KDSEL_HOT void MatMulTbRows(const float* a, const float* b, float* c,
+                            size_t k, size_t m, size_t i0, size_t i1) {
   for (size_t jb = 0; jb < m; jb += kColTile) {
     const size_t jend = std::min(m, jb + kColTile);
     for (size_t i = i0; i < i1; ++i) {
@@ -54,8 +54,9 @@ KDSEL_HOT void MatMulTbRows(const float* a, const float* b, float* c, size_t k, 
   }
 }
 
-KDSEL_HOT void MatMulTaRows(const float* a, const float* b, float* c, size_t n, size_t k,
-                  size_t m, size_t k0, size_t k1) {
+KDSEL_HOT void MatMulTaRows(const float* a, const float* b, float* c,
+                            size_t n, size_t k, size_t m, size_t k0,
+                            size_t k1) {
   for (size_t jb = 0; jb < m; jb += kColTile) {
     const size_t jend = std::min(m, jb + kColTile);
     for (size_t kk = k0; kk < k1; ++kk) {
@@ -92,7 +93,8 @@ KDSEL_HOT void ScaledCopy(float* y, const float* x, float s, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] = s * x[i];
 }
 
-KDSEL_HOT void ScaledDiff(float* g, const float* p, const float* t, float s, size_t n) {
+KDSEL_HOT void ScaledDiff(float* g, const float* p, const float* t, float s,
+                          size_t n) {
   for (size_t i = 0; i < n; ++i) g[i] = s * (p[i] - t[i]);
 }
 
@@ -210,8 +212,9 @@ KDSEL_HOT void SoftmaxRow(const float* x, float* y, size_t m) {
   for (size_t j = 0; j < m; ++j) y[j] *= inv;
 }
 
-KDSEL_HOT void AdamUpdate(float* p, float* m, float* v, const float* g, size_t n,
-                float lr, float b1, float b2, float eps, double lr_wd) {
+KDSEL_HOT void AdamUpdate(float* p, float* m, float* v, const float* g,
+                          size_t n, float lr, float b1, float b2, float eps,
+                          double lr_wd) {
   for (size_t j = 0; j < n; ++j) {
     m[j] = b1 * m[j] + (1 - b1) * g[j];
     v[j] = b2 * v[j] + (1 - b2) * g[j] * g[j];

@@ -85,10 +85,10 @@ void Linear::ClearQuantization() {
   requant_scale_.shrink_to_fit();
 }
 
-Tensor Linear::Backward(const Tensor& grad_output) {
+void Linear::BackwardParams(const Tensor& grad_output) {
   KDSEL_CHECK(grad_output.rank() == 2 &&
               grad_output.dim(1) == out_features_);
-  // dW = dY^T X ; db = sum rows dY ; dX = dY W
+  // dW = dY^T X ; db = sum rows dY
   Tensor dw = MatMulTransposedA(grad_output, cached_input_);  // [out, in]
   weight_.grad.AddInPlace(dw);
   const kernels::Ops& ops = kernels::Dispatch();
@@ -97,23 +97,46 @@ Tensor Linear::Backward(const Tensor& grad_output) {
     ops.add(bias_.grad.raw(), grad_output.raw() + i * out_features_,
             out_features_);
   }
-  return MatMul(grad_output, weight_.value);  // [B, in]
 }
 
+Tensor Linear::Backward(const Tensor& grad_output) {
+  BackwardParams(grad_output);
+  return MatMul(grad_output, weight_.value);  // dX = dY W, [B, in]
+}
+
+// Both ReLU loops are one pass of selects into a fresh pooled tensor,
+// which GCC if-converts and vectorizes at baseline ISA (compare and
+// mask, no per-element branch). The backward loads gy[i] before the
+// select on purpose: with the load on one arm only, GCC 12 keeps a
+// compare-and-jump per element, which mispredicts on about every other
+// element after BatchNorm. Keep the predicates exactly `x > 0` and
+// `y <= 0`: they fix every output bit, NaN, -0 and infinities
+// included (LayerBitwiseTest.ReLUMatchesReferenceBitwise).
 Tensor ReLU::Forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  for (float& v : out.mutable_data()) v = v > 0 ? v : 0.0f;
+  Tensor out;
+  out.Resize(input.shape());
+  const float* x = input.raw();
+  float* y = out.raw();
+  const size_t n = out.size();
+  for (size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    y[i] = v > 0 ? v : 0.0f;
+  }
   if (training) cached_output_ = out;
   return out;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
   KDSEL_CHECK(SameShape(grad_output, cached_output_));
-  Tensor g = grad_output;
+  Tensor g;
+  g.Resize(grad_output.shape());
   const float* y = cached_output_.raw();
+  const float* gy = grad_output.raw();
   float* gd = g.raw();
-  for (size_t i = 0; i < g.size(); ++i) {
-    if (y[i] <= 0) gd[i] = 0.0f;
+  const size_t n = g.size();
+  for (size_t i = 0; i < n; ++i) {
+    const float v = gy[i];
+    gd[i] = y[i] <= 0 ? 0.0f : v;
   }
   return g;
 }

@@ -17,7 +17,13 @@ class Linear : public Module, public Quantizable {
   Linear(size_t in_features, size_t out_features, Rng& rng);
 
   Tensor Forward(const Tensor& input, bool training) override;
+  /// BackwardParams, then dL/d(input) = grad_output W.
   Tensor Backward(const Tensor& grad_output) override;
+  /// The parameter half of Backward: accumulates the weight and bias
+  /// gradients exactly as Backward does and computes no input gradient,
+  /// for a layer whose input is frozen (MKI's text branch). Same
+  /// once-per-training-Forward contract as Backward.
+  void BackwardParams(const Tensor& grad_output);
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   void CollectQuantizable(std::vector<Quantizable*>* out) override {
     out->push_back(this);

@@ -44,7 +44,8 @@ HashedTextEncoder::HashedTextEncoder(const Options& options)
   KDSEL_CHECK(options_.vocab_dim > 0 && options_.output_dim > 0);
   Rng rng(options_.seed);
   projection_.resize(options_.vocab_dim * options_.output_dim);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(options_.output_dim));
+  const double scale =
+      1.0 / std::sqrt(static_cast<double>(options_.output_dim));
   for (float& v : projection_) {
     v = static_cast<float>(rng.Normal(0.0, scale));
   }
@@ -110,6 +111,11 @@ nn::Tensor HashedTextEncoder::EncodeBatch(
     }
   });
   return out;
+}
+
+const HashedTextEncoder& DefaultTextEncoder() {
+  static const HashedTextEncoder encoder;
+  return encoder;
 }
 
 }  // namespace kdsel::text

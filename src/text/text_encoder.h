@@ -53,6 +53,14 @@ class HashedTextEncoder {
   std::vector<float> projection_;  // [vocab_dim * output_dim]
 };
 
+/// The process-wide encoder with default Options -- what MKI training
+/// embeds its metadata texts with. Built on first use (thread-safe, never
+/// at static initialization, so processes that train no MKI selector
+/// never pay for it); from then on its 12.6 MB projection stays resident
+/// for the life of the process. Embeddings equal a freshly built
+/// `HashedTextEncoder()`'s bit for bit.
+const HashedTextEncoder& DefaultTextEncoder();
+
 }  // namespace kdsel::text
 
 #endif  // KDSEL_TEXT_TEXT_ENCODER_H_

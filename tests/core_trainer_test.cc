@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "common/rng.h"
 #include "core/mki.h"
 #include "core/selection.h"
 #include "core/trainer.h"
+#include "nn/loss.h"
 #include "nn/optimizer.h"
 
 namespace kdsel::core {
@@ -241,6 +243,83 @@ TEST(MkiHeadTest, LossDropsForAlignedPairsAfterUpdates) {
     opt.ZeroGrad();
   }
   EXPECT_LT(last, first);
+}
+
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+// The head's text branch stops at its first layer (parameter gradients
+// only). A reference built from the same layers runs the full backward
+// through h_K, input gradient included, and discards it. Over two
+// accumulating steps, with grouped negatives and lambda != 1, the loss,
+// per-sample losses, grad_z_t and every parameter gradient must be
+// equal bit for bit. The reference takes its weights from
+// head.Parameters(), so that list must be h_T's layers, then h_K's.
+TEST(MkiHeadTest, TextBranchMatchesFullBackward) {
+  MkiHead::Options opts;
+  opts.ts_feature_dim = 24;
+  opts.text_feature_dim = 40;
+  opts.hidden = 32;
+  opts.shared_dim = 8;
+  opts.temperature = 0.1;
+  opts.lambda = 0.78;
+  Rng rng(16);
+  MkiHead head(opts, rng);
+
+  nn::Sequential ref_t, ref_k;
+  ref_t.Add(std::make_unique<nn::Linear>(24, 32, rng));
+  ref_t.Add(std::make_unique<nn::ReLU>());
+  ref_t.Add(std::make_unique<nn::Linear>(32, 8, rng));
+  ref_k.Add(std::make_unique<nn::Linear>(40, 32, rng));
+  ref_k.Add(std::make_unique<nn::ReLU>());
+  ref_k.Add(std::make_unique<nn::Linear>(32, 8, rng));
+  std::vector<nn::Parameter*> params = head.Parameters();
+  std::vector<nn::Parameter*> ref_params = ref_t.Parameters();
+  for (nn::Parameter* p : ref_k.Parameters()) ref_params.push_back(p);
+  ASSERT_EQ(params.size(), ref_params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(params[i]->value.shape(), ref_params[i]->value.shape()) << i;
+    ref_params[i]->value = params[i]->value;
+  }
+
+  const size_t batch = 12;
+  const std::vector<size_t> groups{0, 1, 2, 0, 3, 1, 4, 5, 2, 6, 7, 3};
+  std::vector<float> weights(batch);
+  nn::InfoNceResult ref_nce;
+  MkiHead::Result out;
+  for (int step = 0; step < 2; ++step) {
+    nn::Tensor z_t({batch, 24}), z_k({batch, 40});
+    for (float& v : z_t.mutable_data()) v = static_cast<float>(rng.Normal());
+    for (float& v : z_k.mutable_data()) v = static_cast<float>(rng.Normal());
+    for (float& w : weights) w = static_cast<float>(rng.Uniform(0.5, 2.0));
+
+    head.ComputeLoss(z_t, z_k, weights, groups, &out);
+
+    const nn::Tensor proj_t = ref_t.Forward(z_t, /*training=*/true);
+    const nn::Tensor proj_k = ref_k.Forward(z_k, /*training=*/true);
+    nn::InfoNce(proj_t, proj_k, opts.temperature, weights, groups,
+                &ref_nce);
+    const float lambda = static_cast<float>(opts.lambda);
+    ref_nce.grad_a.ScaleInPlace(lambda);
+    ref_nce.grad_b.ScaleInPlace(lambda);
+    const nn::Tensor ref_grad_z_t = ref_t.Backward(ref_nce.grad_a);
+    const nn::Tensor ref_grad_z_k = ref_k.Backward(ref_nce.grad_b);
+    ASSERT_EQ(ref_grad_z_k.shape(), z_k.shape());
+
+    EXPECT_EQ(out.loss, opts.lambda * ref_nce.mean_loss) << step;
+    ASSERT_EQ(out.per_sample.size(), ref_nce.per_sample.size());
+    EXPECT_EQ(std::memcmp(out.per_sample.data(), ref_nce.per_sample.data(),
+                          batch * sizeof(float)),
+              0)
+        << step;
+    EXPECT_TRUE(SameBits(out.grad_z_t, ref_grad_z_t)) << step;
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(SameBits(params[i]->grad, ref_params[i]->grad))
+          << "step " << step << " parameter " << i;
+    }
+  }
 }
 
 TEST(SelectionTest, MajorityVote) {

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
+#include "nn/kernels/kernels.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/module.h"
@@ -41,7 +45,8 @@ double Objective(Module& m, const Tensor& x, const Tensor& r) {
 }
 
 void ExpectClose(double analytic, double numeric, const std::string& what) {
-  const double tol = kTol * std::max(0.05, std::abs(analytic) + std::abs(numeric));
+  const double tol =
+      kTol * std::max(0.05, std::abs(analytic) + std::abs(numeric));
   EXPECT_NEAR(analytic, numeric, tol) << what;
 }
 
@@ -152,6 +157,124 @@ TEST(GradCheck, ReLU) {
     if (std::abs(v) < 0.05f) v = 0.1f;
   }
   CheckGradients(layer, x, rng);
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+// The former ReLU loops, kept verbatim as the reference the one-pass
+// select loops must match bit for bit.
+Tensor ReferenceReluForward(const Tensor& input) {
+  Tensor out = input;
+  for (float& v : out.mutable_data()) v = v > 0 ? v : 0.0f;
+  return out;
+}
+
+Tensor ReferenceReluBackward(const Tensor& grad_output,
+                             const Tensor& cached_output) {
+  Tensor g = grad_output;
+  const float* y = cached_output.raw();
+  float* gd = g.raw();
+  for (size_t i = 0; i < g.size(); ++i) {
+    if (y[i] <= 0) gd[i] = 0.0f;
+  }
+  return g;
+}
+
+/// Every other element cycles through the IEEE edge cases (signed
+/// zeros, NaNs, infinities, subnormals, extremes); the rest are random
+/// normals of both signs. `offset` staggers the cycle between tensors.
+void FillWithEdgeCases(Tensor& t, Rng& rng, size_t offset) {
+  using Limits = std::numeric_limits<float>;
+  const float edge[] = {0.0f,
+                        -0.0f,
+                        Limits::quiet_NaN(),
+                        -Limits::quiet_NaN(),
+                        Limits::infinity(),
+                        -Limits::infinity(),
+                        Limits::denorm_min(),
+                        -Limits::denorm_min(),
+                        1e-40f,
+                        -1e-40f,
+                        Limits::min(),
+                        -Limits::min(),
+                        Limits::max(),
+                        -Limits::max(),
+                        1.5f,
+                        -2.25f};
+  const size_t n_edge = sizeof(edge) / sizeof(edge[0]);
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = i % 2 == 0 ? edge[(i / 2 + offset) % n_edge]
+                      : static_cast<float>(rng.Normal());
+  }
+}
+
+// Sizes 1, 7 and 37 run the vector loops' tails; [64, 32, 64] is the
+// ResNet training shape. Forward at training and inference, then the
+// backward of the training forward, each against the reference.
+TEST(LayerBitwiseTest, ReLUMatchesReferenceBitwise) {
+  Rng rng(41);
+  const Shape shapes[] = {{1}, {7}, {37}, {3, 37}, {64, 32, 64}};
+  for (const Shape& shape : shapes) {
+    for (size_t offset = 0; offset < 3; ++offset) {
+      Tensor x(shape), gy(shape);
+      FillWithEdgeCases(x, rng, offset);
+      FillWithEdgeCases(gy, rng, offset + 5);
+      const Tensor want_y = ReferenceReluForward(x);
+      const Tensor want_gx = ReferenceReluBackward(gy, want_y);
+      const std::string what = "shape " + x.ShapeString() + " offset " +
+                               std::to_string(offset);
+
+      ReLU relu;
+      EXPECT_TRUE(SameBits(relu.Forward(x, /*training=*/false), want_y))
+          << what;
+      EXPECT_TRUE(SameBits(relu.Forward(x, /*training=*/true), want_y))
+          << what;
+      EXPECT_TRUE(SameBits(relu.Backward(gy), want_gx)) << what;
+    }
+  }
+}
+
+// BackwardParams is Backward without the input gradient: on gradients
+// that already hold nonzero contents, both accumulate exactly what the
+// dW = dY^T X, db = row-sum dY reference adds, in the same order.
+TEST(LayerBitwiseTest, LinearBackwardParamsMatchesBackward) {
+  for (const size_t batch : {size_t{1}, size_t{5}, size_t{64}}) {
+    Rng init_full(42), init_params(42), data_rng(43);
+    Linear full(37, 19, init_full);
+    Linear params_only(37, 19, init_params);
+    Tensor x({batch, 37}), gy({batch, 19});
+    FillRandom(x, data_rng);
+    FillRandom(gy, data_rng);
+    std::vector<Parameter*> pf = full.Parameters();
+    std::vector<Parameter*> pp = params_only.Parameters();
+    ASSERT_EQ(pf.size(), 2u);
+    ASSERT_EQ(pp.size(), 2u);
+    for (size_t i = 0; i < pf.size(); ++i) {
+      FillRandom(pf[i]->grad, data_rng, 0.1);
+      pp[i]->grad = pf[i]->grad;
+    }
+
+    // The reference: former Linear::Backward's accumulation, spelled out.
+    Tensor want_w = pf[0]->grad;
+    want_w.AddInPlace(MatMulTransposedA(gy, x));
+    Tensor want_b = pf[1]->grad;
+    for (size_t i = 0; i < batch; ++i) {
+      kernels::Dispatch().add(want_b.raw(), gy.raw() + i * 19, 19);
+    }
+
+    (void)full.Forward(x, /*training=*/true);
+    (void)params_only.Forward(x, /*training=*/true);
+    const Tensor gx = full.Backward(gy);
+    params_only.BackwardParams(gy);
+    EXPECT_TRUE(SameBits(gx, MatMul(gy, pf[0]->value))) << batch;
+    EXPECT_TRUE(SameBits(pf[0]->grad, want_w)) << batch;
+    EXPECT_TRUE(SameBits(pf[1]->grad, want_b)) << batch;
+    EXPECT_TRUE(SameBits(pp[0]->grad, pf[0]->grad)) << batch;
+    EXPECT_TRUE(SameBits(pp[1]->grad, pf[1]->grad)) << batch;
+  }
 }
 
 TEST(GradCheck, Gelu) {

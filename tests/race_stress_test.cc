@@ -14,6 +14,8 @@
 //     threads, every backbone in fp32 and int8.
 //   * obs::Histogram: Reset() racing Record() and Summarize(), the
 //     pairing behind live `kdsel serve` stats scrapes.
+//   * text::DefaultTextEncoder: two MKI TrainSelector calls building and
+//     reading the one process-wide frozen encoder at the same time.
 //
 // Iteration counts are deliberately modest: under TSan every memory
 // access is instrumented (~5-15x slowdown), and a data race is caught
@@ -36,6 +38,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
+#include "core/trainer.h"
 #include "nn/layers.h"
 #include "obs/metrics.h"
 #include "selectors/backbone.h"
@@ -71,6 +74,19 @@ std::unique_ptr<core::TrainedSelector> TrainTinySelector(uint64_t seed = 1) {
   auto selector = core::TrainSelector(data, opts, nullptr);
   KDSEL_CHECK(selector.ok());
   return std::move(selector).value();
+}
+
+/// Flattens every parameter and state tensor of a selector, in
+/// serialization order.
+std::vector<float> SelectorTensors(core::TrainedSelector& selector) {
+  std::vector<float> flat;
+  auto append = [&](const nn::Tensor& t) {
+    flat.insert(flat.end(), t.raw(), t.raw() + t.size());
+  };
+  for (nn::Parameter* p : selector.backbone().Parameters()) append(p->value);
+  for (nn::Tensor* t : selector.backbone().StateTensors()) append(*t);
+  for (nn::Parameter* p : selector.classifier().Parameters()) append(p->value);
+  return flat;
 }
 
 ts::TimeSeries MakeSineSeries(size_t length, double frequency) {
@@ -472,6 +488,67 @@ TEST(RaceStressTest, SharedSelectorInfersConcurrentlyBitForBit) {
       EXPECT_EQ(mismatches.load(), 0)
           << name << (selector->IsInt8() ? " int8" : " fp32");
     }
+  }
+}
+
+// Two MKI trainings at once share the process-wide frozen text encoder;
+// neither has built it yet, so they also race its first use. Each
+// selector must equal a serial run of the same seed bit for bit. Each
+// pool executor runs one training; its ParallelFor calls run inline.
+TEST(RaceStressTest, ConcurrentMkiTrainingSharesEncoderBitForBit) {
+  core::SelectorTrainingData data;
+  data.num_classes = 2;
+  const char* kTexts[2] = {"slow periodic wave with few anomalies",
+                           "fast oscillation with spiky anomalies"};
+  Rng rng(9);
+  for (int i = 0; i < 48; ++i) {
+    const int c = i % 2;
+    std::vector<float> w(16);
+    for (size_t t = 0; t < 16; ++t) {
+      w[t] = std::sin((0.3 + 0.9 * c) * static_cast<double>(t)) +
+             0.05f * static_cast<float>(rng.Normal());
+    }
+    data.windows.push_back(std::move(w));
+    data.labels.push_back(c);
+    data.texts.push_back(kTexts[c]);
+  }
+  auto options = [](uint64_t seed) {
+    core::TrainerOptions opts;
+    opts.backbone = "ConvNet";
+    opts.epochs = 2;
+    opts.batch_size = 16;
+    opts.use_mki = true;
+    opts.mki_hidden = 32;
+    opts.mki_shared_dim = 8;
+    opts.seed = seed;
+    return opts;
+  };
+
+  constexpr size_t kRuns = 2;
+  std::vector<std::vector<float>> concurrent(kRuns);
+  std::atomic<int> failures{0};
+  ThreadPool pool(kRuns);
+  pool.For(kRuns, 1, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      auto selector = core::TrainSelector(data, options(r + 1), nullptr);
+      if (!selector.ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      concurrent[r] = SelectorTensors(**selector);
+    }
+  });
+  ASSERT_EQ(failures.load(), 0);
+
+  for (size_t r = 0; r < kRuns; ++r) {
+    auto serial = core::TrainSelector(data, options(r + 1), nullptr);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    const std::vector<float> want = SelectorTensors(**serial);
+    ASSERT_EQ(concurrent[r].size(), want.size()) << r;
+    EXPECT_EQ(std::memcmp(concurrent[r].data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "seed " << r + 1;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "lsh/simhash.h"
@@ -88,6 +89,25 @@ TEST(TextEncoderTest, BatchMatchesSingle) {
   for (size_t j = 0; j < 768; ++j) {
     EXPECT_FLOAT_EQ(batch.At(1, j), single[j]);
   }
+}
+
+// Every caller gets the one process-wide encoder, and it embeds exactly
+// as a freshly built default encoder does: same options, seed and draws.
+TEST(TextEncoderTest, DefaultTextEncoderIsSharedAndExact) {
+  const text::HashedTextEncoder& shared = text::DefaultTextEncoder();
+  EXPECT_EQ(&shared, &text::DefaultTextEncoder());
+  const text::HashedTextEncoder fresh;
+  EXPECT_EQ(shared.options().vocab_dim, fresh.options().vocab_dim);
+  EXPECT_EQ(shared.options().output_dim, fresh.options().output_dim);
+  EXPECT_EQ(shared.options().seed, fresh.options().seed);
+  const std::vector<std::string> texts{
+      "This is a time series from dataset ECG, a standard "
+      "electrocardiogram dataset.",
+      "There are 3 anomalies in this series.", "", "anomalies anomaly"};
+  const nn::Tensor a = shared.EncodeBatch(texts);
+  const nn::Tensor b = fresh.EncodeBatch(texts);
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)), 0);
 }
 
 TEST(TextEncoderTest, CustomDimensions) {

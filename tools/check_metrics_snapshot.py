@@ -17,10 +17,12 @@ kdsel.stream.* instrumentation.
 all must carry the full workload set including the int8 rows
 (i8_matmul_256, selector_forward_int8) with their speedup_vs_fp32
 metric and one fp32 and one int8 row per ConvNet conv layer shape
-(conv_fp32_* / conv_int8_*) and one training-batch Conv1d backward row
-per layer shape (conv_bwd_fp32_*), each with its speedup_vs_scalar, and
-no row may smuggle in a non-positive speedup_vs_1t (the writer omits the
-key when there is no 1-thread baseline).
+(conv_fp32_* / conv_int8_*), one training-batch Conv1d backward row
+per layer shape (conv_bwd_fp32_*), one ReLU backward row per ResNet
+width (relu_bwd_fp32_*) and one ResNet training-step row
+(resnet_step_fp32_b64), each with its speedup_vs_scalar, and no row may
+smuggle in a non-positive speedup_vs_1t (the writer omits the key when
+there is no 1-thread baseline).
 
 `--profile serving` validates a BENCH_serving.json written by
 bench_serving: every row must carry the latency percentiles
@@ -93,13 +95,25 @@ CONV_BWD_LAYER_WORKLOADS = [
     f"conv_bwd_fp32_{shape}" for shape in CONV_BWD_LAYER_SHAPES
 ]
 
+# The training-step rows record the layers outside the Ops table: ReLU
+# backward at ResNet's two widths and one whole ResNet step (B = 64).
+TRAIN_STEP_WORKLOADS = [
+    "relu_bwd_fp32_16x64",
+    "relu_bwd_fp32_32x64",
+    "resnet_step_fp32_b64",
+]
+
+PER_LAYER_WORKLOADS = (
+    CONV_LAYER_WORKLOADS + CONV_BWD_LAYER_WORKLOADS + TRAIN_STEP_WORKLOADS
+)
+
 KERNEL_WORKLOADS = [
     "matmul_256",
     "i8_matmul_256",
     "conv1d_forward",
     "selector_forward_fp32",
     "selector_forward_int8",
-] + CONV_LAYER_WORKLOADS + CONV_BWD_LAYER_WORKLOADS
+] + PER_LAYER_WORKLOADS
 
 # (workload prefix, required metrics key) for kernel report rows.
 KERNEL_REQUIRED_METRICS = [
@@ -107,7 +121,7 @@ KERNEL_REQUIRED_METRICS = [
     ("i8_matmul_256:", "speedup_vs_scalar"),
     ("selector_forward_int8:", "speedup_vs_fp32"),
 ] + [(f"{workload}:", "speedup_vs_scalar")
-     for workload in CONV_LAYER_WORKLOADS + CONV_BWD_LAYER_WORKLOADS]
+     for workload in PER_LAYER_WORKLOADS]
 
 
 def check_bench_kernels(path, snapshot):
@@ -323,8 +337,8 @@ def main(argv):
                 print(error, file=sys.stderr)
             return 1
         print(
-            f"{path}: ok ({len(snapshot['entries'])} rows, int8 and "
-            "per-layer conv forward/backward workloads present)"
+            f"{path}: ok ({len(snapshot['entries'])} rows, int8, "
+            "per-layer conv and training-step workloads present)"
         )
         return 0
 
