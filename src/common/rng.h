@@ -43,7 +43,9 @@ class Rng {
   }
 
   /// Standard normal draw.
-  double Normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
+  double Normal() {
+    return std::normal_distribution<double>(0.0, 1.0)(engine_);
+  }
 
   /// Normal draw with given mean/stddev.
   double Normal(double mean, double stddev) {

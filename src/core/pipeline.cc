@@ -61,7 +61,8 @@ StatusOr<std::vector<std::vector<float>>> EvaluatePerformanceMatrix(
         slot.message = scores.status().message();
         continue;
       }
-      auto value = metrics::EvaluateMetric(metric, *scores, series[si]->labels());
+      auto value =
+          metrics::EvaluateMetric(metric, *scores, series[si]->labels());
       if (!value.ok()) {
         slot.code = value.status().code();
         slot.message = value.status().message();

@@ -20,8 +20,8 @@ struct SeriesSelection {
 /// toward the lower model id, deterministically. Shared by the offline
 /// protocol below and by the serving layer, which batches the selector
 /// forward pass across concurrent requests and votes per request.
-StatusOr<SeriesSelection> VoteSeriesSelection(const std::vector<int>& predictions,
-                                              size_t num_classes);
+StatusOr<SeriesSelection> VoteSeriesSelection(
+    const std::vector<int>& predictions, size_t num_classes);
 
 /// Applies the paper's series-level protocol: extract fixed-length
 /// windows from `series`, let the (window-level) selector predict a

@@ -78,7 +78,8 @@ std::vector<float> KpiSignal(size_t n, Rng& rng, double theta, double sigma,
   return v;
 }
 
-/// Mackey-Glass chaotic series: dx/dt = beta*x(t-tau)/(1+x(t-tau)^10) - gamma*x.
+/// Mackey-Glass chaotic series:
+/// dx/dt = beta*x(t-tau)/(1+x(t-tau)^10) - gamma*x.
 std::vector<float> MackeyGlassSignal(size_t n, Rng& rng) {
   const double beta = 0.2, gamma = 0.1, dt = 1.0;
   const size_t tau = 17 + static_cast<size_t>(rng.Index(4));
@@ -213,7 +214,8 @@ std::vector<float> ActivitySignal(size_t n, Rng& rng) {
     double phase = rng.Uniform(0, 2 * kPi);
     for (size_t j = 0; j < seg && i < n; ++j, ++i) {
       double t = static_cast<double>(i);
-      v[i] = static_cast<float>(offset + amp * std::sin(2 * kPi * f * t + phase) +
+      v[i] = static_cast<float>(offset +
+                                amp * std::sin(2 * kPi * f * t + phase) +
                                 rng.Normal(0, 0.2));
     }
   }

@@ -217,8 +217,8 @@ StatusOr<std::map<std::string, double>> BenchmarkEnvironment::EvaluateSelector(
   return result;
 }
 
-StatusOr<std::map<std::string, double>> BenchmarkEnvironment::EvaluateFixedModel(
-    int model) const {
+StatusOr<std::map<std::string, double>>
+BenchmarkEnvironment::EvaluateFixedModel(int model) const {
   std::map<std::string, double> result;
   double sum = 0.0;
   for (const std::string& name : test_dataset_names_) {

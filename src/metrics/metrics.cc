@@ -90,7 +90,8 @@ StatusOr<double> AucRoc(const std::vector<float>& scores,
   while (i < n) {
     size_t j = i;
     while (j < n && scores[order[j]] == scores[order[i]]) ++j;
-    double mid = (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
+    double mid =
+        (static_cast<double>(i) + static_cast<double>(j - 1)) / 2.0 + 1.0;
     for (size_t k = i; k < j; ++k) rank[order[k]] = mid;
     i = j;
   }

@@ -456,8 +456,9 @@ void NetServer::ProcessLine(
       EnqueueReady(conn, serve::FormatListResponse(request.id, registry));
       break;
     case serve::WireRequest::Op::kReload: {
-      Status status = request.selector.empty() ? registry.ReloadAll()
-                                               : registry.Load(request.selector);
+      Status status =
+          request.selector.empty() ? registry.ReloadAll()
+                                   : registry.Load(request.selector);
       if (status.ok()) server_->stats().RecordReload();
       EnqueueReady(conn, status.ok()
                              ? serve::FormatOkResponse(request.id)

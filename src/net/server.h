@@ -109,14 +109,13 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Serves an open fd pair as one more connection of shard 0; call at
-  /// most once, before Start(). `in_fd` may equal `out_fd` (a socket). The fds stay
-  /// the caller's and may share their file description with a parent
-  /// shell or tty: they are never closed and their O_NONBLOCK flag is
-  /// never set. Sockets get MSG_DONTWAIT calls instead; a pipe or tty
-  /// gets one read() per readiness report and PIPE_BUF-sized write()s
-  /// while poll(2) reports room. A regular file or /dev/null, which
-  /// epoll refuses, counts as always ready.
+  /// Serves an open fd pair as one more connection of shard 0; call at most
+  /// once, before Start(). `in_fd` may equal `out_fd` (a socket). The fds stay
+  /// the caller's and may share their file description with a parent shell or
+  /// tty: they are never closed and their O_NONBLOCK flag is never set. Sockets
+  /// get MSG_DONTWAIT calls instead; a pipe or tty gets one read() per
+  /// readiness report and PIPE_BUF-sized write()s while poll(2) reports room. A
+  /// regular file or /dev/null, which epoll refuses, counts as always ready.
   Status Adopt(int in_fd, int out_fd);
 
   Status Start();

@@ -10,9 +10,8 @@ Shedder::Shedder(ShedderOptions options)
           "kdsel.net.shed_window_p99_us")),
       transitions_counter_(obs::MetricsRegistry::Global().GetCounter(
           "kdsel.net.shed_transitions")),
-      shed_counter_(
-          obs::MetricsRegistry::Global().GetCounter("kdsel.net.shed_requests")) {
-}
+      shed_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "kdsel.net.shed_requests")) {}
 
 KDSEL_HOT void Shedder::RecordLatency(double us) { window_.Record(us); }
 

@@ -97,8 +97,12 @@ class ConvNetBackbone : public Backbone {
 
   nn::Tensor Forward(const nn::Tensor& input, bool training) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
-  std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
-  std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
+  std::vector<nn::Parameter*> Parameters() override {
+    return seq_.Parameters();
+  }
+  std::vector<nn::Tensor*> StateTensors() override {
+    return seq_.StateTensors();
+  }
   void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
     seq_.CollectQuantizable(out);
   }
@@ -120,8 +124,12 @@ class ResNetBackbone : public Backbone {
 
   nn::Tensor Forward(const nn::Tensor& input, bool training) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
-  std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
-  std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
+  std::vector<nn::Parameter*> Parameters() override {
+    return seq_.Parameters();
+  }
+  std::vector<nn::Tensor*> StateTensors() override {
+    return seq_.StateTensors();
+  }
   void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
     seq_.CollectQuantizable(out);
   }
@@ -143,8 +151,12 @@ class InceptionTimeBackbone : public Backbone {
 
   nn::Tensor Forward(const nn::Tensor& input, bool training) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
-  std::vector<nn::Parameter*> Parameters() override { return seq_.Parameters(); }
-  std::vector<nn::Tensor*> StateTensors() override { return seq_.StateTensors(); }
+  std::vector<nn::Parameter*> Parameters() override {
+    return seq_.Parameters();
+  }
+  std::vector<nn::Tensor*> StateTensors() override {
+    return seq_.StateTensors();
+  }
   void CollectQuantizable(std::vector<nn::Quantizable*>* out) override {
     seq_.CollectQuantizable(out);
   }

@@ -60,10 +60,12 @@ StatusOr<std::vector<int>> KnnSelector::Predict(
       }
       dists[i] = {static_cast<float>(acc), train_labels_[i]};
     }
-    std::nth_element(dists.begin(), dists.begin() + static_cast<ptrdiff_t>(k - 1),
+    std::nth_element(dists.begin(),
+                     dists.begin() + static_cast<ptrdiff_t>(k - 1),
                      dists.end());
     std::vector<int> votes(num_classes_, 0);
-    for (size_t i = 0; i < k; ++i) ++votes[static_cast<size_t>(dists[i].second)];
+    for (size_t i = 0; i < k; ++i)
+      ++votes[static_cast<size_t>(dists[i].second)];
     out.push_back(static_cast<int>(
         std::max_element(votes.begin(), votes.end()) - votes.begin()));
   }

@@ -149,10 +149,14 @@ class Parser {
           for (int i = 0; i < 4; ++i) {
             char h = text_[pos_++];
             code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape");
+            if (h >= '0' && h <= '9')
+              code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            else
+              return Error("bad \\u escape");
           }
           // UTF-8 encode the code point (BMP only; surrogate pairs are
           // passed through as two 3-byte sequences, fine for metadata).

@@ -177,7 +177,8 @@ std::string FormatSelectResponse(int64_t id, const SelectResponse& response,
 
 std::string FormatErrorResponse(int64_t id, const Status& status,
                                 const std::string& trace) {
-  std::string out = "{\"id\":" + std::to_string(id) + ",\"ok\":false,\"error\":";
+  std::string out =
+      "{\"id\":" + std::to_string(id) + ",\"ok\":false,\"error\":";
   AppendJsonString(out, status.ToString());
   AppendTrace(out, trace);
   out.push_back('}');

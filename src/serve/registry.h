@@ -62,7 +62,9 @@ class SelectorRegistry {
   std::vector<std::string> ResidentNames() const;
 
   /// Names available in the on-disk store.
-  StatusOr<std::vector<std::string>> DiskNames() const { return manager_.List(); }
+  StatusOr<std::vector<std::string>> DiskNames() const {
+    return manager_.List();
+  }
 
   const core::SelectorManager& manager() const { return manager_; }
 

@@ -285,9 +285,10 @@ void InferenceServer::ProcessBatch(
     response.timing.total_us = ToUs(done - item.submit_time);
     response.timing.batch_size = batch.items.size();
     response.timing.compute_us = ToUs(done - dequeue_time);
-    response.timing.done_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                  done.time_since_epoch())
-                                  .count();
+    response.timing.done_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            done.time_since_epoch())
+            .count();
 
     endpoint.queue_wait.Record(response.timing.queue_us);
     endpoint.selection.Record(response.timing.select_us);

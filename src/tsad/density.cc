@@ -28,7 +28,8 @@ StatusOr<std::vector<float>> LofDetector::Score(
       dists.emplace_back(
           static_cast<float>(std::sqrt(SquaredDistance(rows[i], rows[j]))), j);
     }
-    std::nth_element(dists.begin(), dists.begin() + static_cast<ptrdiff_t>(k - 1),
+    std::nth_element(dists.begin(),
+                     dists.begin() + static_cast<ptrdiff_t>(k - 1),
                      dists.end());
     dists.resize(k);
     std::sort(dists.begin(), dists.end());
@@ -51,8 +52,8 @@ StatusOr<std::vector<float>> LofDetector::Score(
   for (size_t i = 0; i < n; ++i) {
     double ratio_sum = 0.0;
     for (auto [d, j] : knn[i]) ratio_sum += lrd[j];
-    lof[i] = static_cast<float>(ratio_sum /
-                                (static_cast<double>(k) * std::max(lrd[i], 1e-12f)));
+    lof[i] = static_cast<float>(
+        ratio_sum / (static_cast<double>(k) * std::max(lrd[i], 1e-12f)));
   }
   auto scores = WindowToPointScores(lof, w, series.length());
   MinMaxNormalize(scores);

@@ -51,7 +51,8 @@ StatusOr<std::vector<float>> EnsembleDetector::Score(
     }
     case Combine::kMax: {
       for (const auto& s : member_scores) {
-        for (size_t i = 0; i < n; ++i) combined[i] = std::max(combined[i], s[i]);
+        for (size_t i = 0; i < n; ++i)
+          combined[i] = std::max(combined[i], s[i]);
       }
       break;
     }

@@ -74,8 +74,9 @@ StatusOr<std::vector<float>> AutoencoderDetector::Score(
     rng.Shuffle(train_idx);
     for (size_t off = 0; off < train_idx.size(); off += options_.batch_size) {
       const size_t end = std::min(train_idx.size(), off + options_.batch_size);
-      std::vector<size_t> batch(train_idx.begin() + static_cast<ptrdiff_t>(off),
-                                train_idx.begin() + static_cast<ptrdiff_t>(end));
+      std::vector<size_t> batch(
+          train_idx.begin() + static_cast<ptrdiff_t>(off),
+          train_idx.begin() + static_cast<ptrdiff_t>(end));
       nn::Tensor x = PackRows(rows, batch);
       nn::Tensor pred = net.Forward(x, /*training=*/true);
       nn::Tensor grad;
@@ -153,8 +154,9 @@ StatusOr<std::vector<float>> CnnDetector::Score(
     rng.Shuffle(train_idx);
     for (size_t off = 0; off < train_idx.size(); off += options_.batch_size) {
       const size_t end = std::min(train_idx.size(), off + options_.batch_size);
-      std::vector<size_t> batch(train_idx.begin() + static_cast<ptrdiff_t>(off),
-                                train_idx.begin() + static_cast<ptrdiff_t>(end));
+      std::vector<size_t> batch(
+          train_idx.begin() + static_cast<ptrdiff_t>(off),
+          train_idx.begin() + static_cast<ptrdiff_t>(end));
       nn::Tensor x =
           PackRows(inputs, batch).Reshaped({batch.size(), 1, w});
       nn::Tensor target({batch.size(), 1});

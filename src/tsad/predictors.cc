@@ -22,7 +22,8 @@ bool SolveLinearSystem(std::vector<double>& a, std::vector<double>& b,
     }
     if (std::abs(a[pivot * d + col]) < 1e-12) return false;
     if (pivot != col) {
-      for (size_t cc = 0; cc < d; ++cc) std::swap(a[col * d + cc], a[pivot * d + cc]);
+      for (size_t cc = 0; cc < d; ++cc)
+        std::swap(a[col * d + cc], a[pivot * d + cc]);
       std::swap(b[col], b[pivot]);
     }
     const double inv = 1.0 / a[col * d + col];

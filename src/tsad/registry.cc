@@ -54,7 +54,8 @@ StatusOr<std::unique_ptr<Detector>> BuildDetector(const std::string& name,
     return MakeDetector<HbosDetector>(HbosDetector::Options{});
   }
   if (name == "MP") {
-    return MakeDetector<MatrixProfileDetector>(MatrixProfileDetector::Options{});
+    return MakeDetector<MatrixProfileDetector>(
+        MatrixProfileDetector::Options{});
   }
   if (name == "NORMA") {
     NormaDetector::Options o;

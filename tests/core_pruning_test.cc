@@ -210,7 +210,8 @@ TEST(PrunerTest, PaVisitsFewerSamplesThanInfoBatch) {
   Rng loss_rng(11);
   for (size_t i = 0; i < n; ++i) {
     // Duplicated samples share (high) losses; unique ones vary.
-    double loss = i < n / 2 ? 2.0 + 0.01 * double(i % 4) : loss_rng.Uniform(0.0, 4.0);
+    double loss =
+        i < n / 2 ? 2.0 + 0.01 * double(i % 4) : loss_rng.Uniform(0.0, 4.0);
     pruner_ib.RecordLoss(i, loss);
     pruner_pa.RecordLoss(i, loss);
   }

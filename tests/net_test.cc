@@ -571,6 +571,11 @@ TEST(NetServerTest, TraceEchoedOnShedRepliesAndFlightRecorded) {
       EXPECT_EQ(record.verdict, obs::FlightRecord::Verdict::kOk);
       EXPECT_GT(record.total_us, 0.0);
       EXPECT_GT(record.compute_us, 0.0);
+      // The stages decompose the end-to-end total (queue is the
+      // residual); 1 us covers the float rounding of stored stages.
+      EXPECT_NEAR(record.queue_us + record.batch_wait_us + record.compute_us +
+                      record.write_us,
+                  record.total_us, 1.0);
     }
     if (std::string(record.trace) == "shed-me") {
       saw_shed = true;

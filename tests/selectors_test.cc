@@ -68,8 +68,10 @@ struct SelectorCase {
 
 std::vector<SelectorCase> AllClassicalSelectors() {
   return {
-      {"KNN", [] { return std::make_unique<KnnSelector>(KnnSelector::Options{}); }},
-      {"SVC", [] { return std::make_unique<SvcSelector>(SvcSelector::Options{}); }},
+      {"KNN",
+       [] { return std::make_unique<KnnSelector>(KnnSelector::Options{}); }},
+      {"SVC",
+       [] { return std::make_unique<SvcSelector>(SvcSelector::Options{}); }},
       {"AdaBoost",
        [] {
          return std::make_unique<AdaBoostSelector>(AdaBoostSelector::Options{});
@@ -80,7 +82,9 @@ std::vector<SelectorCase> AllClassicalSelectors() {
              RandomForestSelector::Options{});
        }},
       {"Rocket",
-       [] { return std::make_unique<RocketSelector>(RocketSelector::Options{}); }},
+       [] {
+         return std::make_unique<RocketSelector>(RocketSelector::Options{});
+       }},
       {"ED-1NN", [] { return std::make_unique<Ed1nnSelector>(); }},
       {"Logistic", [] { return std::make_unique<LogisticSelector>(); }},
       {"NearestCentroid",

@@ -529,6 +529,10 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
   }
   server.Stop();
   EXPECT_DOUBLE_EQ(server.stats().MeanBatchSize(), 4.0);
+  // Four identical requests of four distinct windows each: coalescing
+  // runs the forward over the 4 distinct windows, not all 16.
+  EXPECT_EQ(server.stats().rows_total(), 16u);
+  EXPECT_EQ(server.stats().rows_unique(), 4u);
 
   // Stats JSON snapshot is parseable and carries the counters.
   auto stats_json = Json::Parse(server.stats().ToJsonString());

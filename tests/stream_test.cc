@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -23,6 +24,7 @@
 #include "core/trainer.h"
 #include "datagen/families.h"
 #include "features/features.h"
+#include "serve/json.h"
 #include "serve/registry.h"
 #include "stream/drift.h"
 #include "stream/incremental_features.h"
@@ -511,9 +513,31 @@ TEST(StreamProtocolTest, EndToEndLoopEmitsSelectionAndStats) {
   EXPECT_NE(output.find("\"event\":\"selection\""), std::string::npos);
   EXPECT_NE(output.find("\"reason\":\"initial\""), std::string::npos);
   EXPECT_NE(output.find("\"event\":\"error\""), std::string::npos);
-  EXPECT_NE(output.find("\"event\":\"stats\""), std::string::npos);
-  EXPECT_NE(output.find("kdsel.stream.points"), std::string::npos);
   EXPECT_EQ(scorer.points_ingested(), 96u);
+
+  // The stats event's registry snapshot carries every metric the
+  // streaming path registers, each in its own section.
+  const size_t stats_at = output.find("{\"event\":\"stats\"");
+  ASSERT_NE(stats_at, std::string::npos);
+  auto stats = serve::Json::Parse(
+      output.substr(stats_at, output.find('\n', stats_at) - stats_at));
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  const serve::Json* metrics = stats->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const std::pair<const char*, const char*> required[] = {
+      {"counters", "kdsel.stream.points"},
+      {"counters", "kdsel.stream.rescores"},
+      {"counters", "kdsel.stream.recomputes"},
+      {"counters", "kdsel.stream.drift_events"},
+      {"counters", "kdsel.stream.selection_changes"},
+      {"gauges", "kdsel.stream.series"},
+      {"histograms", "kdsel.stream.rescore_us"},
+  };
+  for (const auto& [section, name] : required) {
+    const serve::Json* entries = metrics->Find(section);
+    ASSERT_NE(entries, nullptr) << section;
+    EXPECT_NE(entries->Find(name), nullptr) << section << " " << name;
+  }
 }
 
 TEST(StreamAllocTest, SteadyStateIngestAllocatesNothing) {

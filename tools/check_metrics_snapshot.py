@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Schema check for a METRICS_*.json snapshot written by a bench binary.
 
-CI runs this after `bench_micro --report` / `bench_streaming --report` to
-catch silent instrumentation regressions: if a refactor drops a metric
-registration (or renames it outside the kdsel.<layer>.<name> convention),
-the snapshot loses the key and this script fails the job.
+CI runs this after `bench_micro --report-kernels` to catch silent
+instrumentation regressions: if a refactor drops a metric registration
+(or renames it outside the kdsel.<layer>.<name> convention), the
+snapshot loses the key and this script fails the job.
 
-Only metrics the corresponding bench path actually exercises are
-required -- trainer and pruning metrics belong to `kdsel trace` runs.
-The `--profile` flag picks the required set: `micro` (default) for
-bench_micro's parallel/kernel paths, `stream` for bench_streaming's
-kdsel.stream.* instrumentation.
+Only metrics the bench path actually exercises are required -- trainer
+and pruning metrics belong to `kdsel trace` runs. The default `micro`
+profile requires bench_micro's parallel/kernel metrics in
+METRICS_kernels.json.
 
 `--profile kernels` instead validates a BENCH_kernels.json written by
 `bench_micro --report-kernels`: every dispatch variant that reports at
@@ -24,12 +23,6 @@ width (relu_bwd_fp32_*) and one ResNet training-step row
 smuggle in a non-positive speedup_vs_1t (the writer omits the key when
 there is no 1-thread baseline).
 
-`--profile serving` validates a BENCH_serving.json written by
-bench_serving: every row must carry the latency percentiles
-(p50/p99/p999), throughput and shed counters, and any row named
-overload* must actually have shed requests -- an overload run that
-sheds nothing means the SLO admission path silently stopped firing.
-
 `--profile ops` validates a live-telemetry snapshot: one `ops` reply
 line, from `kdsel ops --connect HOST:PORT` or from an inline
 {"op":"ops"} in a `kdsel serve` stdin session (both transports answer
@@ -39,37 +32,26 @@ per-stage request histogram (kdsel.net.stage.* and kdsel.net.e2e) is
 present AND non-empty: a stage histogram with zero samples under load
 means the request-tracing path silently stopped stamping that stage.
 
-Usage: check_metrics_snapshot.py [--profile micro|stream] METRICS_x.json
+Usage: check_metrics_snapshot.py [--profile micro] METRICS_kernels.json
        check_metrics_snapshot.py --profile kernels BENCH_kernels.json
-       check_metrics_snapshot.py --profile serving BENCH_serving.json
        check_metrics_snapshot.py --profile ops ops_snapshot.json
 """
 
 import json
 import sys
 
-# (section, metric name) pairs that a bench run must have populated, per
-# profile. Counters/gauges map to numbers, histograms to summary dicts.
-REQUIRED_BY_PROFILE = {
-    "micro": [
-        ("counters", "kdsel.parallel.jobs"),
-        ("counters", "kdsel.parallel.chunks"),
-        ("counters", "kdsel.nn.workspace.pool_hits"),
-        ("counters", "kdsel.nn.workspace.pool_misses"),
-        ("gauges", "kdsel.parallel.threads"),
-        ("gauges", "kdsel.nn.kernel_variant"),
-        ("histograms", "kdsel.parallel.job_us"),
-    ],
-    "stream": [
-        ("counters", "kdsel.stream.points"),
-        ("counters", "kdsel.stream.rescores"),
-        ("counters", "kdsel.stream.recomputes"),
-        ("counters", "kdsel.stream.drift_events"),
-        ("counters", "kdsel.stream.selection_changes"),
-        ("gauges", "kdsel.stream.series"),
-        ("histograms", "kdsel.stream.rescore_us"),
-    ],
-}
+# (section, metric name) pairs that the `micro` profile requires a bench
+# run to have populated. Counters/gauges map to numbers, histograms to
+# summary dicts.
+MICRO_REQUIRED = [
+    ("counters", "kdsel.parallel.jobs"),
+    ("counters", "kdsel.parallel.chunks"),
+    ("counters", "kdsel.nn.workspace.pool_hits"),
+    ("counters", "kdsel.nn.workspace.pool_misses"),
+    ("gauges", "kdsel.parallel.threads"),
+    ("gauges", "kdsel.nn.kernel_variant"),
+    ("histograms", "kdsel.parallel.job_us"),
+]
 
 HISTOGRAM_KEYS = [
     "count", "samples", "min", "max", "mean", "p50", "p95", "p99", "p999",
@@ -157,58 +139,6 @@ def check_bench_kernels(path, snapshot):
     return errors
 
 
-# Metrics every BENCH_serving.json row must report. The percentile trio
-# is the SLO evidence; shed/req_per_s are the load-shedding contract.
-SERVING_REQUIRED_METRICS = [
-    "req_per_s",
-    "p50_ms",
-    "p99_ms",
-    "p999_ms",
-    "shed",
-    "shed_rate",
-    "ok",
-    "errors",
-    "slo_ms",
-    # From the driver's mid-run `ops` scrape: stage decomposition and
-    # flight-recorder evidence. Missing keys mean the scrape went dark.
-    "stage_p50_sum_us",
-    "e2e_p50_us",
-    "flight_recorded",
-    "flight_slowest_us",
-]
-
-
-def check_bench_serving(path, snapshot):
-    errors = []
-    entries = snapshot.get("entries")
-    if not isinstance(entries, list) or not entries:
-        return [f"{path}: missing or empty 'entries'"]
-    for e in entries:
-        name = e.get("name", "?")
-        metrics = e.get("metrics", {})
-        for key in SERVING_REQUIRED_METRICS:
-            if not isinstance(metrics.get(key), (int, float)):
-                errors.append(
-                    f"{path}: '{name}' missing numeric metric '{key}'"
-                )
-        if name.startswith("overload") and not metrics.get("shed", 0) > 0:
-            errors.append(
-                f"{path}: '{name}' shed nothing -- the SLO admission "
-                "path never fired under engineered overload"
-            )
-        if not metrics.get("flight_recorded", 0) > 0:
-            errors.append(
-                f"{path}: '{name}' flight recorder saw no requests -- "
-                "the ops scrape or the recording path is broken"
-            )
-        if metrics.get("errors", 0) != 0:
-            errors.append(
-                f"{path}: '{name}' reports {metrics['errors']} protocol "
-                "errors (replies that were neither ok nor shed)"
-            )
-    return errors
-
-
 # Per-request stage histograms the net layer must populate under load.
 # An empty one means a stage stopped being stamped (or RecordFlushed
 # stopped running), which is exactly the silent regression this guards.
@@ -289,7 +219,7 @@ def main(argv):
     args = argv[1:]
     profile = "micro"
     if args and args[0] == "--profile":
-        known = set(REQUIRED_BY_PROFILE) | {"kernels", "serving", "ops"}
+        known = {"micro", "kernels", "ops"}
         if len(args) < 2 or args[1] not in known:
             print(__doc__.strip(), file=sys.stderr)
             return 2
@@ -318,18 +248,6 @@ def main(argv):
         )
         return 0
 
-    if profile == "serving":
-        errors = check_bench_serving(path, snapshot)
-        if errors:
-            for error in errors:
-                print(error, file=sys.stderr)
-            return 1
-        print(
-            f"{path}: ok ({len(snapshot['entries'])} rows, latency "
-            "percentiles and shed accounting present)"
-        )
-        return 0
-
     if profile == "kernels":
         errors = check_bench_kernels(path, snapshot)
         if errors:
@@ -346,7 +264,7 @@ def main(argv):
     for section in ("counters", "gauges", "histograms"):
         if section not in snapshot:
             errors.append(f"missing section '{section}'")
-    for section, name in REQUIRED_BY_PROFILE[profile]:
+    for section, name in MICRO_REQUIRED:
         value = snapshot.get(section, {}).get(name)
         if value is None:
             errors.append(f"missing {section[:-1]} '{name}'")

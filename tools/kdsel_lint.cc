@@ -1953,7 +1953,8 @@ class BodyAnalyzer {
       }
     }
     auto git = prog_.globals.find(name);
-    if (git != prog_.globals.end()) return ClassKeyOfType(git->second.type_core);
+    if (git != prog_.globals.end())
+      return ClassKeyOfType(git->second.type_core);
     return "";
   }
 
@@ -2979,7 +2980,8 @@ void SetZones(SourceFile& file) {
   file.in_net = contains("src/net/") || contains("src\\net\\");
   file.in_thread_zone = file.in_common || file.in_net ||
                         contains("src/serve/") || contains("src\\serve\\");
-  file.in_kernels = contains("src/nn/kernels/") || contains("src\\nn\\kernels\\");
+  file.in_kernels =
+      contains("src/nn/kernels/") || contains("src\\nn\\kernels\\");
   file.in_timing_zone = file.in_common || contains("src/obs/") ||
                         contains("src\\obs\\") || p.rfind("bench/", 0) == 0 ||
                         contains("/bench/");
