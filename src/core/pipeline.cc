@@ -182,11 +182,16 @@ std::string SelectorManager::PathFor(const std::string& name) const {
   return (fs::path(directory_) / name).string();
 }
 
-Status SelectorManager::Save(const TrainedSelector& selector,
-                             const std::string& name) const {
+Status SelectorManager::CheckName(const std::string& name) {
   if (name.empty() || name.find('/') != std::string::npos) {
     return Status::InvalidArgument("invalid selector name: " + name);
   }
+  return Status::OK();
+}
+
+Status SelectorManager::Save(const TrainedSelector& selector,
+                             const std::string& name) const {
+  KDSEL_RETURN_NOT_OK(CheckName(name));
   std::error_code ec;
   fs::create_directories(directory_, ec);
   if (ec) return Status::IoError("cannot create directory: " + directory_);
@@ -195,6 +200,13 @@ Status SelectorManager::Save(const TrainedSelector& selector,
 
 StatusOr<std::unique_ptr<TrainedSelector>> SelectorManager::Load(
     const std::string& name) const {
+  KDSEL_RETURN_NOT_OK(CheckName(name));
+  // A missing checkpoint is reported by name: the directory stays out
+  // of replies that reach serving clients.
+  std::error_code ec;
+  if (!fs::exists(PathFor(name) + ".meta", ec) && !ec) {
+    return Status::NotFound("no saved selector named " + name);
+  }
   return TrainedSelector::Load(PathFor(name));
 }
 
@@ -213,6 +225,7 @@ StatusOr<std::vector<std::string>> SelectorManager::List() const {
 }
 
 Status SelectorManager::Remove(const std::string& name) const {
+  KDSEL_RETURN_NOT_OK(CheckName(name));
   std::error_code ec;
   bool removed_meta = fs::remove(PathFor(name) + ".meta", ec);
   bool removed_weights = fs::remove(PathFor(name) + ".weights", ec);

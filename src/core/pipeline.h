@@ -88,7 +88,10 @@ StatusOr<DetectionResult> RunSelectedDetection(
     const ts::TimeSeries& series);
 
 /// Saves/loads/lists named TrainedSelectors under a directory (the demo
-/// system's Selector Management module).
+/// system's Selector Management module). Save, Load and Remove take a
+/// non-empty name without '/' (InvalidArgument otherwise), so a name
+/// from a client cannot reach files outside the directory. Load and
+/// Remove return NotFound for a name with no saved checkpoint.
 class SelectorManager {
  public:
   explicit SelectorManager(std::string directory);
@@ -102,6 +105,7 @@ class SelectorManager {
   const std::string& directory() const { return directory_; }
 
  private:
+  static Status CheckName(const std::string& name);
   std::string PathFor(const std::string& name) const;
 
   std::string directory_;

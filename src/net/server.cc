@@ -484,6 +484,7 @@ void NetServer::ProcessLine(
       static obs::Counter& requests =
           obs::MetricsRegistry::Global().GetCounter("kdsel.net.requests");
       requests.Increment();
+      const int64_t parsed_us = NowUs();
       char trace[obs::FlightRecord::kTraceBytes];
       PickTrace(request.trace.c_str(), shard.index, shard.trace_seq, trace);
       const uint64_t seq = conn.base_seq + conn.slots.size();
@@ -492,6 +493,8 @@ void NetServer::ProcessLine(
       slot.id = request.id;
       slot.meta.traced = true;
       slot.meta.ingress_us = now_us;
+      slot.meta.parse_us =
+          static_cast<float>(std::max<int64_t>(parsed_us - now_us, 0));
       std::memcpy(slot.meta.trace, trace, sizeof(trace));
       conn.slots.push_back(std::move(slot));
       ++conn.pending;
@@ -662,16 +665,18 @@ void NetServer::DrainCompletions(Shard& shard) {
     slot.meta.done_us = completion.done_us;
     slot.meta.batch_wait_us = completion.batch_wait_us;
     slot.meta.compute_us = completion.compute_us;
-    // Queue is the ingress->done span minus the wait for a worker and
-    // compute: socket parse, admission and submit. Charging the residual
-    // makes the four stages sum to the e2e total exactly, so per-stage
-    // p50s reconcile against the kdsel.net.e2e histogram.
+    // Queue is the ingress->done span minus the parse, the wait for a
+    // worker and compute: the rest of the read's lines and the submit.
+    // Charging the residual makes the five stages sum to the e2e total
+    // exactly, so per-stage p50s reconcile against the kdsel.net.e2e
+    // histogram.
     if (completion.done_us > 0 &&
         completion.verdict == obs::FlightRecord::Verdict::kOk) {
       const double span_us = static_cast<double>(
           std::max<int64_t>(completion.done_us - slot.meta.ingress_us, 0));
       slot.meta.queue_us = static_cast<float>(
-          std::max(span_us - completion.batch_wait_us - completion.compute_us,
+          std::max(span_us - slot.meta.parse_us - completion.batch_wait_us -
+                       completion.compute_us,
                    0.0));
     }
     slot.meta.verdict = completion.verdict;
@@ -793,6 +798,8 @@ void NetServer::CloseConn(Shard& shard, Conn& conn) {
 }
 
 void NetServer::RecordFlushed(Shard& shard) {
+  static obs::Histogram& parse_h =
+      obs::MetricsRegistry::Global().GetHistogram("kdsel.net.stage.parse");
   static obs::Histogram& queue_h =
       obs::MetricsRegistry::Global().GetHistogram("kdsel.net.stage.queue");
   static obs::Histogram& batch_wait_h =
@@ -814,6 +821,7 @@ void NetServer::RecordFlushed(Shard& shard) {
     record.total_us = static_cast<double>(
         std::max<int64_t>(flushed_us - meta.ingress_us, 0));
     if (meta.verdict == obs::FlightRecord::Verdict::kOk) {
+      record.parse_us = meta.parse_us;
       record.queue_us = meta.queue_us;
       record.batch_wait_us = meta.batch_wait_us;
       record.compute_us = meta.compute_us;
@@ -825,6 +833,7 @@ void NetServer::RecordFlushed(Shard& shard) {
       // Stage histograms only see served requests: a refusal's zeros
       // would drag every stage p50 toward the shed rate instead of
       // describing the pipeline.
+      parse_h.Record(record.parse_us);
       queue_h.Record(record.queue_us);
       batch_wait_h.Record(record.batch_wait_us);
       compute_h.Record(record.compute_us);

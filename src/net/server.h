@@ -90,7 +90,7 @@ LinePeek PeekRequestLine(const std::string& line);
 /// -- the client's "trace" field when it passes SanitizeTraceId, else a
 /// generated `s<shard>-<seq>` -- which is echoed on the reply and keyed
 /// into an always-on flight recorder together with the request's stage
-/// decomposition (queue/batch_wait/compute/write). Stage latencies feed
+/// decomposition (parse/queue/batch_wait/compute/write). Stage latencies feed
 /// the `kdsel.net.stage.*` histograms; the `ops` op (see
 /// serve/protocol.h) exports all of it live. See DESIGN.md "Request
 /// observability".
@@ -146,8 +146,11 @@ class NetServer {
     char trace[obs::FlightRecord::kTraceBytes] = {};
     int64_t ingress_us = 0;  ///< Epoll-wake stamp when the line arrived.
     int64_t done_us = 0;     ///< Worker completion stamp (selects only).
-    /// Ingress -> submit: socket parse, admission and submit. A residual
-    /// by construction, so queue + batch_wait + compute + write == total.
+    /// Ingress -> this line parsed (selects only).
+    float parse_us = 0.0f;
+    /// Parsed -> submit: the rest of the read's lines and the submit. A
+    /// residual by construction, so parse + queue + batch_wait + compute
+    /// + write == total.
     float queue_us = 0.0f;
     /// Submit -> a worker took the request (waiting for a free worker).
     float batch_wait_us = 0.0f;

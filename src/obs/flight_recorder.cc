@@ -46,7 +46,9 @@ void AppendRecord(std::string& out, const FlightRecord& record) {
   out += FlightVerdictName(record.verdict);
   out += "\",\"variant\":\"";
   out += record.int8_variant ? "int8" : "fp32";
-  out += "\",\"queue_us\":";
+  out += "\",\"parse_us\":";
+  AppendNumber(out, record.parse_us);
+  out += ",\"queue_us\":";
   AppendNumber(out, record.queue_us);
   out += ",\"batch_wait_us\":";
   AppendNumber(out, record.batch_wait_us);

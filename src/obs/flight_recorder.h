@@ -26,8 +26,11 @@ struct FlightRecord {
   };
 
   char trace[kTraceBytes] = {};  ///< NUL-terminated, possibly truncated.
-  /// Ingress -> submit (socket parse, admission and submit), a residual
-  /// so the four stages sum to total_us by construction.
+  /// Ingress -> this line parsed, including the lines parsed ahead of it
+  /// in the same read.
+  double parse_us = 0.0;
+  /// Parsed -> submit (admission and the rest of the read's lines), a
+  /// residual so the five stages sum to total_us by construction.
   double queue_us = 0.0;
   double batch_wait_us = 0.0;    ///< Submit -> a worker took the request.
   double compute_us = 0.0;       ///< Worker took it -> response ready.

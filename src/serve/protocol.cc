@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -35,27 +37,269 @@ void AppendTrace(std::string& out, const std::string& trace) {
   out += '"';
 }
 
+/// Ids travel as JSON numbers (doubles): beyond 2^53 they are no longer
+/// exact, and past int64_t the conversion itself is undefined.
+constexpr double kMaxWireId = 9007199254740992.0;
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// ScanSelectLine's cursor. Every reader returns false to decline the
+/// line, and none of them produces an error of its own.
+class SelectScanner {
+ public:
+  explicit SelectScanner(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  bool Scan(WireRequest* request);
+
+ private:
+  /// json.cc's whitespace set.
+  void SkipWhitespace() {
+    while (p_ < end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+      ++p_;
+    }
+  }
+
+  bool Consume(char c) {
+    if (p_ == end_ || *p_ != c) return false;
+    ++p_;
+    return true;
+  }
+
+  /// A string without escapes; its raw bytes are what the strict parser
+  /// would decode.
+  bool ReadString(std::string_view* out) {
+    if (!Consume('"')) return false;
+    const char* begin = p_;
+    while (p_ < end_ && *p_ != '"') {
+      if (*p_ == '\\') return false;
+      ++p_;
+    }
+    if (p_ == end_) return false;
+    *out = std::string_view(begin, static_cast<size_t>(p_ - begin));
+    ++p_;
+    return true;
+  }
+
+  bool ReadBool(bool* out) {
+    const size_t left = static_cast<size_t>(end_ - p_);
+    if (left >= 4 && std::string_view(p_, 4) == "true") {
+      *out = true;
+      p_ += 4;
+      return true;
+    }
+    if (left >= 5 && std::string_view(p_, 5) == "false") {
+      *out = false;
+      p_ += 5;
+      return true;
+    }
+    return false;
+  }
+
+  /// One number in JSON's grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?
+  /// ([eE][-+]?[0-9]+)?, read to the nearest double by from_chars, as
+  /// strtod reads it. Declines a double that overflows or leaves the
+  /// normal range, where strtod sets ERANGE; DBL_MIN and DBL_MAX
+  /// themselves too, so no rounding at either edge has to agree. Of a
+  /// longer strict token ("01", "1e5e5") it reads a prefix, and the
+  /// caller, finding no ',', ']' or '}' after it, declines the line.
+  bool ReadNumber(double* out) {
+    const char* begin = p_;
+    const char* q = p_;
+    if (q < end_ && *q == '-') ++q;
+    if (q == end_ || !IsDigit(*q)) return false;
+    bool nonzero = *q != '0';
+    if (*q++ != '0') {
+      while (q < end_ && IsDigit(*q)) ++q;
+    }
+    if (q < end_ && *q == '.') {
+      const char* digits = ++q;
+      while (q < end_ && IsDigit(*q)) nonzero |= *q++ != '0';
+      if (q == digits) return false;
+    }
+    if (q < end_ && (*q == 'e' || *q == 'E')) {
+      ++q;
+      if (q < end_ && (*q == '+' || *q == '-')) ++q;
+      const char* digits = q;
+      while (q < end_ && IsDigit(*q)) ++q;
+      if (q == digits) return false;
+    }
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(begin, q, value);
+    if (ec != std::errc() || ptr != q) return false;
+    if (nonzero &&
+        !(std::fabs(value) > DBL_MIN && std::fabs(value) < DBL_MAX)) {
+      return false;
+    }
+    *out = value;
+    p_ = q;
+    return true;
+  }
+
+  /// A non-empty array of numbers, each handed to `take`, which
+  /// returns false to decline it.
+  template <typename Take>
+  bool ReadNumbers(Take take) {
+    if (!Consume('[')) return false;
+    do {
+      SkipWhitespace();
+      double value = 0.0;
+      if (!ReadNumber(&value) || !take(value)) return false;
+      SkipWhitespace();
+    } while (Consume(','));
+    return Consume(']');
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+bool SelectScanner::Scan(WireRequest* request) {
+  // One bit per member: a key seen twice is the strict parser's (its
+  // last value wins there).
+  enum : unsigned {
+    kOp = 1u << 0,
+    kId = 1u << 1,
+    kSelector = 1u << 2,
+    kVariant = 1u << 3,
+    kDetect = 1u << 4,
+    kScores = 1u << 5,
+    kTrace = 1u << 6,
+    kName = 1u << 7,
+    kValues = 1u << 8,
+    kLabels = 1u << 9,
+  };
+  unsigned seen = 0;
+  double id = -1.0;
+  std::string_view op = "select";
+  std::string_view selector;
+  std::string_view variant = "fp32";
+  std::string_view trace;
+  std::string_view name = "wire";
+  bool detect = true;
+  bool scores = false;
+  std::vector<float> values;
+  std::vector<uint8_t> labels;
+
+  SkipWhitespace();
+  if (!Consume('{')) return false;
+  do {
+    SkipWhitespace();
+    std::string_view key;
+    if (!ReadString(&key)) return false;
+    SkipWhitespace();
+    if (!Consume(':')) return false;
+    SkipWhitespace();
+    unsigned bit = 0;
+    bool read = false;
+    if (key == "values") {
+      bit = kValues;
+      // Decimal to double, then double to float, as the strict path
+      // narrows. Parsing straight to float rounds once instead of twice
+      // and can land on the other neighbour.
+      read = ReadNumbers([&values](double value) {
+        values.push_back(static_cast<float>(value));
+        return std::isfinite(values.back());
+      });
+    } else if (key == "op") {
+      bit = kOp;
+      read = ReadString(&op);
+    } else if (key == "id") {
+      bit = kId;
+      read = ReadNumber(&id);
+    } else if (key == "selector") {
+      bit = kSelector;
+      read = ReadString(&selector);
+    } else if (key == "variant") {
+      bit = kVariant;
+      read = ReadString(&variant);
+    } else if (key == "detect") {
+      bit = kDetect;
+      read = ReadBool(&detect);
+    } else if (key == "scores") {
+      bit = kScores;
+      read = ReadBool(&scores);
+    } else if (key == "trace") {
+      bit = kTrace;
+      read = ReadString(&trace);
+    } else if (key == "name") {
+      bit = kName;
+      read = ReadString(&name);
+    } else if (key == "labels") {
+      bit = kLabels;
+      read = ReadNumbers([&labels](double value) {
+        labels.push_back(value != 0.0 ? 1 : 0);
+        return true;
+      });
+    }
+    // An unknown key is the strict parser's to skip.
+    if (!read || (seen & bit) != 0) return false;
+    seen |= bit;
+    SkipWhitespace();
+  } while (Consume(','));
+  if (!Consume('}')) return false;
+  SkipWhitespace();
+  if (p_ != end_) return false;
+
+  // What the strict parser would refuse, it also gets to word.
+  if (op != "select" || !(std::fabs(id) <= kMaxWireId) || selector.empty() ||
+      (variant != "fp32" && variant != "int8") || values.empty()) {
+    return false;
+  }
+  request->op = WireRequest::Op::kSelect;
+  request->id = static_cast<int64_t>(id);
+  request->selector.assign(selector);
+  if (variant == "int8") request->selector += ".int8";
+  request->detect = detect;
+  request->want_scores = scores;
+  request->trace = SanitizeTraceId(trace);
+  request->series = ts::TimeSeries(std::string(name), std::move(values));
+  return (seen & kLabels) == 0 ||
+         request->series.SetLabels(std::move(labels)).ok();
+}
+
 }  // namespace
 
-std::string SanitizeTraceId(const std::string& raw) {
+std::string SanitizeTraceId(std::string_view raw) {
   if (raw.empty() || raw.size() > 23) return std::string();
   for (char c : raw) {
     if (!IsTraceChar(c)) return std::string();
   }
-  return raw;
+  return std::string(raw);
+}
+
+bool ScanSelectLine(std::string_view line, WireRequest* request) {
+  return SelectScanner(line).Scan(request);
 }
 
 StatusOr<WireRequest> ParseRequestLine(const std::string& line,
                                        int64_t* error_id) {
+  // Selects the strict parser served: nonzero means real traffic left
+  // the scanner's subset.
+  static obs::Counter& fallbacks =
+      obs::MetricsRegistry::Global().GetCounter("kdsel.serve.select_fallbacks");
+  WireRequest request;
+  if (ScanSelectLine(line, &request)) {
+    if (error_id != nullptr) *error_id = request.id;
+    return request;
+  }
+  auto parsed = ParseRequestLineStrict(line, error_id);
+  if (parsed.ok() && parsed->op == WireRequest::Op::kSelect) {
+    fallbacks.Increment();
+  }
+  return parsed;
+}
+
+StatusOr<WireRequest> ParseRequestLineStrict(const std::string& line,
+                                             int64_t* error_id) {
   if (error_id != nullptr) *error_id = -1;
   KDSEL_ASSIGN_OR_RETURN(Json doc, Json::Parse(line));
   if (!doc.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
-  // Ids travel as JSON numbers (doubles): beyond 2^53 they are no longer
-  // exact, and past int64_t the conversion itself is undefined.
   const double id = doc.GetNumber("id", -1);
-  if (!(std::fabs(id) <= 9007199254740992.0)) {
+  if (!(std::fabs(id) <= kMaxWireId)) {
     return Status::InvalidArgument("\"id\" must lie within +-2^53");
   }
   WireRequest request;
@@ -123,7 +367,15 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line,
       if (!v.is_number()) {
         return Status::InvalidArgument("\"values\" must contain only numbers");
       }
-      floats.push_back(static_cast<float>(v.as_number()));
+      // A double beyond float range would narrow to +-inf, and
+      // z-normalization would turn its windows into NaN.
+      const float narrowed = static_cast<float>(v.as_number());
+      if (!std::isfinite(narrowed)) {
+        return Status::OutOfRange("\"values\"[" +
+                                  std::to_string(floats.size()) +
+                                  "] does not fit in a float");
+      }
+      floats.push_back(narrowed);
     }
     request.series =
         ts::TimeSeries(doc.GetString("name", "wire"), std::move(floats));

@@ -2,6 +2,7 @@
 #define KDSEL_SERVE_PROTOCOL_H_
 
 #include <string>
+#include <string_view>
 
 #include "serve/server.h"
 
@@ -59,10 +60,18 @@ inline bool IsTraceChar(char c) {
 /// one of them an IsTraceChar. Returns the id unchanged when it is
 /// acceptable and "" otherwise (an unusable id is dropped, not an
 /// error: the server falls back to generating one).
-std::string SanitizeTraceId(const std::string& raw);
+std::string SanitizeTraceId(std::string_view raw);
 
-/// Parses one request line. Unknown fields are ignored; unknown ops and
-/// malformed JSON are errors.
+/// Parses one request line: ScanSelectLine first, then, for every line
+/// it declines, ParseRequestLineStrict. The result, the error text and
+/// `error_id` are always the strict parser's. Selects that take the
+/// second path count in `kdsel.serve.select_fallbacks`.
+StatusOr<WireRequest> ParseRequestLine(const std::string& line,
+                                       int64_t* error_id = nullptr);
+
+/// The reference parser: builds a Json document, then reads the request
+/// from it. Unknown fields are ignored; unknown ops and malformed JSON
+/// are errors. A select value whose float is not finite is OutOfRange.
 ///
 /// When `error_id` is non-null it receives the id to echo in an error
 /// reply for this line: the request's "id" whenever the line was at
@@ -71,8 +80,18 @@ std::string SanitizeTraceId(const std::string& raw);
 /// pipelined client able to correlate failures mid-session instead of
 /// seeing every malformed line collapse to id -1. An id outside +-2^53
 /// is itself the error, reported under id -1.
-StatusOr<WireRequest> ParseRequestLine(const std::string& line,
-                                       int64_t* error_id = nullptr);
+StatusOr<WireRequest> ParseRequestLineStrict(const std::string& line,
+                                             int64_t* error_id = nullptr);
+
+/// The select fast path: one pass over the line that reads "values" and
+/// "labels" straight into `request->series`, with no Json document.
+/// Returns true only when ParseRequestLineStrict would return an equal
+/// request. It returns false, leaving `request` unspecified, for every
+/// line it cannot prove that for: control ops, string escapes, unknown
+/// or repeated keys, numbers outside JSON's grammar or the normal double
+/// range, and every line the strict parser refuses. It never produces an
+/// error of its own.
+bool ScanSelectLine(std::string_view line, WireRequest* request);
 
 /// Response formatting (each returns a complete line WITHOUT the '\n').
 /// A non-empty `trace` is echoed as a trailing "trace" field; it must

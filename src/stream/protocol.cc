@@ -1,5 +1,6 @@
 #include "stream/protocol.h"
 
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -69,7 +70,13 @@ StatusOr<StreamRequest> ParseStreamLine(const std::string& line) {
       if (!item.is_number()) {
         return Status::InvalidArgument("\"values\" must hold numbers");
       }
-      request.values.push_back(static_cast<float>(item.as_number()));
+      const float narrowed = static_cast<float>(item.as_number());
+      if (!std::isfinite(narrowed)) {
+        return Status::OutOfRange("\"values\"[" +
+                                  std::to_string(request.values.size()) +
+                                  "] does not fit in a float");
+      }
+      request.values.push_back(narrowed);
     }
     return request;
   }
@@ -78,7 +85,11 @@ StatusOr<StreamRequest> ParseStreamLine(const std::string& line) {
     return Status::InvalidArgument(
         "point event needs a numeric \"value\" or \"values\" array");
   }
-  request.values.push_back(static_cast<float>(value->as_number()));
+  const float narrowed = static_cast<float>(value->as_number());
+  if (!std::isfinite(narrowed)) {
+    return Status::OutOfRange("\"value\" does not fit in a float");
+  }
+  request.values.push_back(narrowed);
   return request;
 }
 

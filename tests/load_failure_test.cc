@@ -87,7 +87,25 @@ TEST_F(SelectorManagerFailureTest, IntactSelectorLoads) {
 
 TEST_F(SelectorManagerFailureTest, MissingNameReturnsError) {
   auto loaded = manager_->Load("does_not_exist");
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  // The message names the selector; the directory stays server-side.
+  EXPECT_EQ(loaded.status().message(),
+            "no saved selector named does_not_exist");
+  EXPECT_EQ(manager_->Remove("does_not_exist").code(), StatusCode::kNotFound);
+}
+
+// Save's name rule holds for Load and Remove too: a name with a '/'
+// (or none at all) never reaches the filesystem.
+TEST_F(SelectorManagerFailureTest, NameWithSlashIsInvalid) {
+  for (const std::string name : {"/etc/hostname", "../good", "sub/good", ""}) {
+    auto loaded = manager_->Load(name);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(manager_->Remove(name).code(), StatusCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_TRUE(manager_->Load("good").ok());
 }
 
 TEST_F(SelectorManagerFailureTest, TruncatedWeightsReturnsError) {

@@ -573,8 +573,8 @@ TEST(NetServerTest, TraceEchoedOnShedRepliesAndFlightRecorded) {
       EXPECT_GT(record.compute_us, 0.0);
       // The stages decompose the end-to-end total (queue is the
       // residual); 1 us covers the float rounding of stored stages.
-      EXPECT_NEAR(record.queue_us + record.batch_wait_us + record.compute_us +
-                      record.write_us,
+      EXPECT_NEAR(record.parse_us + record.queue_us + record.batch_wait_us +
+                      record.compute_us + record.write_us,
                   record.total_us, 1.0);
     }
     if (std::string(record.trace) == "shed-me") {
@@ -621,8 +621,9 @@ TEST(NetServerTest, OpsSnapshotExportsStatsShedderAndStageHistograms) {
   const serve::Json* histograms = metrics->Find("histograms");
   ASSERT_NE(histograms, nullptr);
   for (const char* name :
-       {"kdsel.net.stage.queue", "kdsel.net.stage.batch_wait",
-        "kdsel.net.stage.compute", "kdsel.net.stage.write", "kdsel.net.e2e"}) {
+       {"kdsel.net.stage.parse", "kdsel.net.stage.queue",
+        "kdsel.net.stage.batch_wait", "kdsel.net.stage.compute",
+        "kdsel.net.stage.write", "kdsel.net.e2e"}) {
     const serve::Json* hist = histograms->Find(name);
     ASSERT_NE(hist, nullptr) << name;
     EXPECT_GE(hist->GetNumber("samples", -1), 1) << name;
@@ -833,12 +834,17 @@ TEST(NetServerTest, AdoptedSessionOpsShowsStagesShedderAndFlight) {
   const serve::Json* histograms =
       snapshot->Find("metrics")->Find("histograms");
   for (const char* name :
-       {"kdsel.net.stage.queue", "kdsel.net.stage.batch_wait",
-        "kdsel.net.stage.compute", "kdsel.net.stage.write", "kdsel.net.e2e"}) {
+       {"kdsel.net.stage.parse", "kdsel.net.stage.queue",
+        "kdsel.net.stage.batch_wait", "kdsel.net.stage.compute",
+        "kdsel.net.stage.write", "kdsel.net.e2e"}) {
     const serve::Json* hist = histograms->Find(name);
     ASSERT_NE(hist, nullptr) << name;
     EXPECT_EQ(hist->GetNumber("count", -1), 3) << name;
   }
+  // All three selects took the select scanner, none the strict parser.
+  EXPECT_EQ(snapshot->Find("metrics")->Find("counters")->GetNumber(
+                "kdsel.serve.select_fallbacks", -1),
+            0);
 
   auto flight = serve::Json::Parse(lines[4]);
   ASSERT_TRUE(flight.ok()) << flight.status();

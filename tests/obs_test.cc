@@ -218,11 +218,12 @@ TEST(FlightRecorderTest, DumpJsonParsesAndCarriesVerdictsAndStages) {
   obs::FlightRecorder recorder(/*recent_capacity=*/8, /*slowest_capacity=*/4);
   obs::FlightRecord served;
   std::snprintf(served.trace, sizeof(served.trace), "ok-1");
+  served.parse_us = 5.0;
   served.queue_us = 10.0;
   served.batch_wait_us = 20.0;
   served.compute_us = 30.0;
   served.write_us = 40.0;
-  served.total_us = 100.0;
+  served.total_us = 105.0;
   served.int8_variant = true;
   recorder.Record(served);
   obs::FlightRecord refused;
@@ -241,9 +242,10 @@ TEST(FlightRecorderTest, DumpJsonParsesAndCarriesVerdictsAndStages) {
   EXPECT_EQ(first.GetString("trace", ""), "ok-1");
   EXPECT_EQ(first.GetString("verdict", ""), "ok");
   EXPECT_EQ(first.GetString("variant", ""), "int8");
+  EXPECT_DOUBLE_EQ(first.GetNumber("parse_us", 0), 5.0);
   EXPECT_DOUBLE_EQ(first.GetNumber("queue_us", 0), 10.0);
   EXPECT_DOUBLE_EQ(first.GetNumber("write_us", 0), 40.0);
-  EXPECT_DOUBLE_EQ(first.GetNumber("total_us", 0), 100.0);
+  EXPECT_DOUBLE_EQ(first.GetNumber("total_us", 0), 105.0);
   const serve::Json& second = recent->items()[1];
   EXPECT_EQ(second.GetString("verdict", ""), "shed");
   EXPECT_EQ(second.GetString("variant", ""), "fp32");

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,14 +253,24 @@ TEST(InferenceServerTest, RejectsBadConfigAndUse) {
     SelectRequest request;  // Empty selector name.
     request.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
     EXPECT_FALSE(RunRequest(server, std::move(request)).ok());
-    // Unknown selector: accepted, resolves to NotFound.
+    // Unknown selector: accepted, resolves to NotFound, and the reply
+    // names the selector, not the directory it was looked for in.
     SelectRequest unknown;
     unknown.selector = "ghost";
     unknown.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
     auto response = RunRequest(server, std::move(unknown));
-    EXPECT_FALSE(response.ok());
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(response.status().message(), "no saved selector named ghost");
+    // A name with a '/' never reaches the filesystem.
+    SelectRequest escape;
+    escape.selector = "/etc/hostname";
+    escape.series = ts::TimeSeries("x", std::vector<float>(32, 0.0f));
+    auto escaped = RunRequest(server, std::move(escape));
+    ASSERT_FALSE(escaped.ok());
+    EXPECT_EQ(escaped.status().code(), StatusCode::kInvalidArgument);
     server.Stop();
-    EXPECT_EQ(server.stats().failed(), 1u);
+    EXPECT_EQ(server.stats().failed(), 2u);
   }
 }
 
@@ -590,6 +606,396 @@ TEST(ProtocolTest, IdOutsideDoublePrecisionIsRejected) {
   EXPECT_EQ(edge->id, int64_t{1} << 53);
 }
 
+// A value whose double lies beyond float range would narrow to +-inf,
+// and z-normalization would turn its windows into NaN.
+TEST(ProtocolTest, ValuesBeyondFloatRangeAreOutOfRange) {
+  for (const char* detect : {"true", "false"}) {
+    for (const char* token : {"1e39", "-1e39", "3.4028236e38"}) {
+      const std::string line =
+          std::string(R"({"op":"select","id":7,"selector":"s","detect":)") +
+          detect + R"(,"values":[0.5,)" + token + "]}";
+      int64_t error_id = -2;
+      auto parsed = ParseRequestLine(line, &error_id);
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kOutOfRange) << line;
+      EXPECT_NE(parsed.status().message().find("\"values\"[1]"),
+                std::string::npos)
+          << parsed.status();
+      EXPECT_EQ(error_id, 7) << line;
+    }
+  }
+  // The decimal below the midpoint to 2^128 rounds to FLT_MAX: served.
+  auto edge = ParseRequestLine(
+      R"({"op":"select","id":8,"selector":"s","values":[3.4028235e38]})");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->series.values()[0], FLT_MAX);
+  // A double overflow is the JSON layer's invalid number instead.
+  int64_t error_id = -2;
+  auto overflow = ParseRequestLine(
+      R"({"op":"select","id":9,"selector":"s","values":[1e400]})", &error_id);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("json: invalid number"),
+            std::string::npos)
+      << overflow.status();
+  EXPECT_EQ(error_id, -1);
+}
+
+// ---------------------------------------------------------------------
+// The select scanner (ScanSelectLine) against the strict parser: every
+// line it accepts must read exactly as ParseRequestLineStrict reads it,
+// and ParseRequestLine must answer every line as the strict parser does.
+
+/// std::to_chars' shortest round-trip form, as perfbench writes values.
+void AppendShortest(std::string& out, float v) {
+  char buf[48];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+/// Python's float repr, as json.dumps writes it: the shortest digits,
+/// fixed notation for decimal exponents in [-4, 16) with at least one
+/// fractional digit, scientific otherwise.
+void AppendPythonFloat(std::string& out, double v) {
+  char buf[48];
+  auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::scientific);
+  const char* digits = std::find(buf, res.ptr, 'e') + 1;
+  if (*digits == '+') ++digits;
+  int exponent = 0;
+  std::from_chars(digits, res.ptr, exponent);
+  if (exponent >= -4 && exponent < 16) {
+    res = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+    std::string fixed(buf, res.ptr);
+    if (fixed.find('.') == std::string::npos) fixed += ".0";
+    out += fixed;
+    return;
+  }
+  out.append(buf, res.ptr);
+}
+
+/// A normal draw at a random decimal scale.
+double ScaledNormal(Rng& rng) {
+  return rng.Normal() * std::pow(10.0, static_cast<double>(rng.Int(-6, 6)));
+}
+
+/// A select line as perfbench/serve.cc writes it.
+std::string PerfbenchSelectLine(Rng& rng, int64_t id) {
+  std::string line = "{\"op\":\"select\",\"id\":" + std::to_string(id) +
+                     ",\"selector\":\"fleet\",\"variant\":\"";
+  line += rng.Bernoulli(0.5) ? "int8" : "fp32";
+  line += "\",\"detect\":false";
+  if (rng.Bernoulli(0.5)) {
+    line += ",\"trace\":\"r" + std::to_string(id) + "\"";
+  }
+  line += ",\"values\":[";
+  const size_t n = 16 + rng.Index(300);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) line.push_back(',');
+    AppendShortest(line, static_cast<float>(ScaledNormal(rng)));
+  }
+  line += "]}";
+  return line;
+}
+
+/// A select line as tools/ndjson_load.py writes it (json.dumps).
+std::string PythonSelectLine(Rng& rng, int64_t id) {
+  std::string line = "{\"op\": \"select\", \"id\": " + std::to_string(id) +
+                     ", \"selector\": \"bench\", \"values\": [";
+  const double phase = rng.Uniform(0.0, 6.3);
+  for (int t = 0; t < 64; ++t) {
+    if (t > 0) line += ", ";
+    AppendPythonFloat(line,
+                      std::round(std::sin(0.05 * t + phase) * 1e4) / 1e4);
+  }
+  line += "], \"detect\": false}";
+  return line;
+}
+
+/// Zero to two bytes of JSON whitespace.
+std::string RandomSpace(Rng& rng) {
+  static const char kSpace[] = {' ', '\t', '\r', '\n'};
+  std::string out;
+  for (int64_t n = rng.Int(0, 2); n > 0; --n) out += kSpace[rng.Index(4)];
+  return out;
+}
+
+/// A valid select in any member order and spacing, drawing the optional
+/// members (variant, detect, scores, trace, name, labels) at random and
+/// writing each value in one of several number styles.
+std::string ShuffledSelectLine(Rng& rng, int64_t id) {
+  const size_t n = 1 + rng.Index(80);
+  std::string values = "[";
+  std::string labels = "[";
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) {
+      values += RandomSpace(rng) + "," + RandomSpace(rng);
+      labels += RandomSpace(rng) + "," + RandomSpace(rng);
+    }
+    const double v = ScaledNormal(rng);
+    char buf[48];
+    switch (rng.Index(4)) {
+      case 0:
+        AppendShortest(values, static_cast<float>(v));
+        break;
+      case 1:
+        AppendPythonFloat(values, v);
+        break;
+      case 2:
+        std::snprintf(buf, sizeof(buf), "%.9g", v);
+        values += buf;
+        break;
+      default:
+        values += std::to_string(static_cast<int64_t>(v * 100.0));
+    }
+    static const char* kLabels[] = {"0", "1", "0.0", "2", "-1", "1e0"};
+    labels += kLabels[rng.Index(6)];
+  }
+  values += "]";
+  labels += "]";
+
+  std::vector<std::string> members = {
+      "\"selector\"" + RandomSpace(rng) + ":" + RandomSpace(rng) + "\"sel\"",
+      "\"values\"" + RandomSpace(rng) + ":" + RandomSpace(rng) + values};
+  auto maybe = [&](const std::string& key, const std::string& value) {
+    if (rng.Bernoulli(0.5)) {
+      members.push_back("\"" + key + "\"" + RandomSpace(rng) + ":" +
+                        RandomSpace(rng) + value);
+    }
+  };
+  maybe("op", "\"select\"");
+  maybe("id", std::to_string(id));
+  maybe("variant", rng.Bernoulli(0.5) ? "\"int8\"" : "\"fp32\"");
+  maybe("detect", rng.Bernoulli(0.5) ? "true" : "false");
+  maybe("scores", rng.Bernoulli(0.5) ? "true" : "false");
+  maybe("trace", rng.Bernoulli(0.5) ? "\"t-" + std::to_string(id) + "\""
+                                    : "\"has space\"");
+  maybe("name", "\"series " + std::to_string(id) + "\"");
+  maybe("labels", labels);
+  rng.Shuffle(members);
+
+  std::string line = RandomSpace(rng) + "{" + RandomSpace(rng);
+  for (size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) line += RandomSpace(rng) + "," + RandomSpace(rng);
+    line += members[i];
+  }
+  line += RandomSpace(rng) + "}" + RandomSpace(rng);
+  return line;
+}
+
+/// A decimal of 17 to 20 significant digits at, or one double away
+/// from, the midpoint between two adjacent floats: the inputs on which
+/// one rounding (decimal to float) and two (decimal to double to float)
+/// can disagree.
+std::string FloatMidpointDecimal(Rng& rng) {
+  const float lo = static_cast<float>(
+      rng.Normal() * std::pow(10.0, static_cast<double>(rng.Int(-35, 35))));
+  const float hi = std::nextafter(lo, std::numeric_limits<float>::infinity());
+  double mid = (static_cast<double>(lo) + static_cast<double>(hi)) / 2.0;
+  if (rng.Bernoulli(0.5)) {
+    mid = std::nextafter(mid, rng.Bernoulli(0.5) ? 1e300 : -1e300);
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", static_cast<int>(rng.Int(17, 20)),
+                mid);
+  return buf;
+}
+
+/// Number tokens that sit at an edge of JSON's grammar, of the double or
+/// float range, or of what strtod accepts.
+const std::vector<std::string>& EdgeNumberTokens() {
+  static const std::vector<std::string> tokens = {
+      "+1", ".5", "1.", "01", "-01", "00", "-", "1e", "1e+", "1.5e",
+      "1e5e5", "1.2.3", "0x10", "nan", "inf", "-0", "0e-400", "1E5",
+      "1e+05", "1e39", "-1e39", "3.4028236e38", "3.4028235e38", "1e-310",
+      "1e-400", "1e400", "4.9e-324", "2.2250738585072014e-308",
+      "2.2250738585072011e-308", "1.7976931348623157e308", "1.8e308",
+      "1e-45", "1e-46", "123456789012345678901234567890",
+      "0.000000000000000000000000000000000000000000001"};
+  return tokens;
+}
+
+/// Replaces one random number token of the "values" array with `token`.
+std::string ReplaceValue(Rng& rng, const std::string& line,
+                         const std::string& token) {
+  const size_t open = line.find('[', line.find("\"values\""));
+  if (open == std::string::npos) return line;
+  const size_t close = line.find(']', open);
+  std::vector<size_t> starts;
+  for (size_t i = open + 1; i < close; ++i) {
+    const char c = line[i];
+    const char prev = line[i - 1];
+    if ((c == '-' || (c >= '0' && c <= '9')) &&
+        (prev == '[' || prev == ',' || prev == ' ' || prev == '\t' ||
+         prev == '\r' || prev == '\n')) {
+      starts.push_back(i);
+    }
+  }
+  if (starts.empty()) return line;
+  const size_t begin = starts[rng.Index(starts.size())];
+  size_t end = begin + 1;
+  while (end < close && line[end] != ',' && line[end] != ' ' &&
+         line[end] != '\t' && line[end] != '\r' && line[end] != '\n') {
+    ++end;
+  }
+  return line.substr(0, begin) + token + line.substr(end);
+}
+
+/// Members inserted right after the opening brace: repeated keys,
+/// unknown (and nested) fields, wrong types, escapes and control ops.
+const std::vector<std::string>& InsertedMembers() {
+  static const std::vector<std::string> members = {
+      R"("op":5)", R"("op":"list")", R"("op":"select")",
+      R"("id":"7")", R"("id":1e30)", R"("id":-9007199254740994)",
+      R"("id":9007199254740992)", R"("id":2.5)", R"("id":-0.5)",
+      R"("selector":"other")", R"("selector":"bench")",
+      R"("selector":"")", R"("selector":5)", R"("values":[1,2])",
+      R"("values":[])", R"("values":null)", R"("labels":[])",
+      R"("labels":[1])", R"("labels":"x")", R"("detect":1)",
+      R"("detect":null)", R"("scores":true)", R"("variant":"int4")",
+      R"("variant":"int8")", R"("name":"a\"b")", R"("name":7)",
+      R"("trace":"way-too-long-for-a-trace-id-0123")",
+      R"("trace":"t\/1")", R"("view":"flight")",
+      R"("meta":{"a":[1,{"b":null}],"c":"d"})", R"("values":[3])",
+      R"("extra":[[[[1]]]])"};
+  return members;
+}
+
+/// Mutations of one valid line: byte flips, truncations, edge number
+/// tokens, float-midpoint decimals and inserted members.
+std::vector<std::string> MutateSelectLine(Rng& rng, const std::string& line) {
+  static const char kBytes[] = {'"', '\\', ',', ':', '[', ']', '{', '}',
+                                '0', '9', '-', '+', '.', 'e', 'E', ' ',
+                                'x', '\0', '\n', '\x7f', '\xff'};
+  std::vector<std::string> out;
+  for (int i = 0; i < 2; ++i) {
+    std::string flipped = line;
+    flipped[rng.Index(flipped.size())] =
+        rng.Bernoulli(0.7) ? kBytes[rng.Index(sizeof(kBytes))]
+                           : static_cast<char>(rng.Int(0, 255));
+    out.push_back(std::move(flipped));
+  }
+  out.push_back(line.substr(0, rng.Index(line.size())));
+  const auto& tokens = EdgeNumberTokens();
+  out.push_back(ReplaceValue(rng, line, tokens[rng.Index(tokens.size())]));
+  out.push_back(ReplaceValue(rng, line, FloatMidpointDecimal(rng)));
+  const auto& members = InsertedMembers();
+  const size_t brace = line.find('{');
+  if (brace != std::string::npos) {
+    out.push_back(line.substr(0, brace + 1) +
+                  members[rng.Index(members.size())] + "," +
+                  line.substr(brace + 1));
+  }
+  return out;
+}
+
+/// Field-by-field difference of two requests, "" when they are equal.
+/// Values and labels compare bytewise, so -0 against 0 is a difference.
+std::string RequestDiff(const WireRequest& a, const WireRequest& b) {
+  if (a.op != b.op) return "op";
+  if (a.id != b.id) return "id";
+  if (a.selector != b.selector) return "selector";
+  if (a.detect != b.detect) return "detect";
+  if (a.want_scores != b.want_scores) return "scores";
+  if (a.trace != b.trace) return "trace";
+  if (a.view != b.view) return "view";
+  if (a.series.name() != b.series.name()) return "name";
+  if (a.series.metadata() != b.series.metadata()) return "metadata";
+  const auto& av = a.series.values();
+  const auto& bv = b.series.values();
+  if (av.size() != bv.size() ||
+      (!av.empty() &&
+       std::memcmp(av.data(), bv.data(), av.size() * sizeof(float)) != 0)) {
+    return "values";
+  }
+  const auto& al = a.series.labels();
+  const auto& bl = b.series.labels();
+  if (al.size() != bl.size() ||
+      (!al.empty() && std::memcmp(al.data(), bl.data(), al.size()) != 0)) {
+    return "labels";
+  }
+  return "";
+}
+
+/// Checks one line against the strict parser; counts scanner accepts.
+void CheckAgainstStrict(const std::string& line, size_t* accepted) {
+  int64_t strict_id = -2;
+  const auto strict = ParseRequestLineStrict(line, &strict_id);
+  WireRequest scanned;
+  if (ScanSelectLine(line, &scanned)) {
+    ++*accepted;
+    ASSERT_TRUE(strict.ok()) << "scanned a line the strict parser refuses ("
+                             << strict.status() << "): " << line;
+    ASSERT_EQ(RequestDiff(scanned, *strict), "") << line;
+  }
+  int64_t error_id = -2;
+  const auto parsed = ParseRequestLine(line, &error_id);
+  ASSERT_EQ(error_id, strict_id) << line;
+  ASSERT_EQ(parsed.ok(), strict.ok()) << line;
+  if (strict.ok()) {
+    ASSERT_EQ(RequestDiff(*parsed, *strict), "") << line;
+  } else {
+    ASSERT_EQ(parsed.status().ToString(), strict.status().ToString()) << line;
+  }
+}
+
+TEST(SelectScannerTest, AgreesWithTheStrictParserOnMutatedLines) {
+  Rng rng(22);
+  size_t lines = 0;
+  size_t accepted = 0;
+  size_t unmutated_accepted = 0;
+  for (int64_t id = 0; id < 300; ++id) {
+    for (const std::string& base :
+         {PerfbenchSelectLine(rng, id), PythonSelectLine(rng, id),
+          ShuffledSelectLine(rng, id)}) {
+      // Real traffic must stay on the scanner.
+      WireRequest scanned;
+      ASSERT_TRUE(ScanSelectLine(base, &scanned)) << base;
+      ++unmutated_accepted;
+      ASSERT_NO_FATAL_FAILURE(CheckAgainstStrict(base, &accepted));
+      for (const std::string& line : MutateSelectLine(rng, base)) {
+        ++lines;
+        ASSERT_NO_FATAL_FAILURE(CheckAgainstStrict(line, &accepted));
+      }
+    }
+  }
+  // The mutations exercise both outcomes.
+  EXPECT_GT(accepted, unmutated_accepted + lines / 10);
+  EXPECT_LT(accepted, unmutated_accepted + lines * 9 / 10);
+}
+
+TEST(SelectScannerTest, DeclinesWhatOnlyTheStrictParserReads) {
+  WireRequest scanned;
+  ASSERT_TRUE(
+      ScanSelectLine(R"({"values":[0.25,-1.5e3],"selector":"s"})", &scanned));
+  EXPECT_EQ(scanned.op, WireRequest::Op::kSelect);
+  EXPECT_EQ(scanned.id, -1);
+  EXPECT_EQ(scanned.series.name(), "wire");
+  EXPECT_EQ(scanned.series.values(), (std::vector<float>{0.25f, -1500.0f}));
+
+  // Read alike by the strict parser, but outside the scanner's subset.
+  const std::string head = R"({"op":"select","id":5,"selector":"s",)";
+  for (const std::string& line :
+       {head + R"("values":[+1]})", head + R"("values":[.5]})",
+        head + R"("values":[1.]})", head + R"("values":[01]})",
+        head + R"("selector":"t","values":[0.25]})",
+        head + R"("meta":{"a":[1]},"values":[0.25]})",
+        std::string(R"({"op":"select","selector":"\u0073","values":[1]})"),
+        std::string(R"({"op":5,"id":5,"selector":"s","values":[0.25]})"),
+        std::string(R"({"id":"7","selector":"s","values":[0.25]})")}) {
+    EXPECT_FALSE(ScanSelectLine(line, &scanned)) << line;
+    auto strict = ParseRequestLineStrict(line);
+    EXPECT_TRUE(strict.ok()) << line << ": " << strict.status();
+  }
+  // Refused by the strict parser: the scanner leaves the wording to it.
+  for (const char* token : {"1e39", "3.4028236e38", "1e-310", "1e400"}) {
+    const std::string line = head + R"("values":[)" + token + "]}";
+    EXPECT_FALSE(ScanSelectLine(line, &scanned)) << line;
+    EXPECT_FALSE(ParseRequestLineStrict(line).ok()) << line;
+  }
+  EXPECT_FALSE(ScanSelectLine(R"({"op":"list","id":1})", &scanned));
+}
+
 TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "kdsel_proto_dir").string();
@@ -656,6 +1062,8 @@ TEST(ProtocolTest, NdjsonSessionEndToEnd) {
   auto ghost_reply = Json::Parse(lines[3]);
   ASSERT_TRUE(ghost_reply.ok());
   EXPECT_FALSE(ghost_reply->GetBool("ok", true));
+  EXPECT_EQ(ghost_reply->GetString("error", ""),
+            "NotFound: no saved selector named ghost");
 
   auto bad_reply = Json::Parse(lines[4]);
   ASSERT_TRUE(bad_reply.ok());
@@ -697,12 +1105,15 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
       R"({"op":"select","id":43,"selector":"tiny","values":)" + values +
       R"(,"detect":false})"
       "\n"
+      R"({"op":"select","id":44,"selector":"tiny","values":[1e39,)" +
+      values.substr(1) +
+      "}\n"
       R"({"op":"quit"})"
       "\n";
   const std::vector<std::string> lines =
       Lines(RunAdoptedSession(server, in).output);
   server.Stop();
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 5u);
 
   auto garbage = Json::Parse(lines[0]);
   ASSERT_TRUE(garbage.ok());
@@ -724,6 +1135,14 @@ TEST(InferenceServerTest, ServeLoopRecoversIdsFromMalformedLines) {
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good->GetBool("ok", false)) << lines[3];
   EXPECT_EQ(good->GetNumber("id", 0), 43.0);
+
+  // A value beyond float range is refused under the request's own id.
+  auto too_big = Json::Parse(lines[4]);
+  ASSERT_TRUE(too_big.ok());
+  EXPECT_FALSE(too_big->GetBool("ok", true));
+  EXPECT_EQ(too_big->GetNumber("id", 0), 44.0);
+  EXPECT_EQ(too_big->GetString("error", "").rfind("OutOfRange: ", 0), 0u)
+      << lines[4];
 }
 
 // A/B serving: fp32 under "tiny" and its quantized sibling under

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "core/trainer.h"
 #include "datagen/families.h"
 #include "features/features.h"
+#include "obs/clock.h"
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "stream/drift.h"
@@ -438,12 +441,23 @@ TEST(StreamScorerTest, HotReloadDuringActiveStreaming) {
     }
   });
 
+  // Stream at least 40 rounds, then on until a selection has run on a
+  // reloaded snapshot: a fixed round count alone can finish before the
+  // reloader's first swap lands.
   const std::vector<std::string> names = {"r0", "r1", "r2", "r3"};
+  const double deadline_s = obs::NowSeconds() + 60.0;
   uint64_t selections = 0;
   uint64_t max_version = 0;
-  for (size_t round = 0; round < 40; ++round) {
+  for (size_t round = 0;
+       round < 40 ||
+       (max_version <= 1 && obs::NowSeconds() < deadline_s);
+       ++round) {
     auto events = scorer.ProcessBatch(MakeStreamBatch(names, 16, round * 16));
-    ASSERT_TRUE(events.ok()) << events.status();
+    if (!events.ok()) {
+      stop.store(true, std::memory_order_relaxed);
+      reloader.join();
+      FAIL() << events.status();
+    }
     for (const StreamEvent& event : *events) {
       if (event.kind != StreamEvent::Kind::kSelection) continue;
       ++selections;
@@ -487,6 +501,23 @@ TEST(StreamProtocolTest, ParsesPointsBurstsAndControls) {
   EXPECT_FALSE(ParseStreamLine("{\"series\":\"s\"}").ok());
   EXPECT_FALSE(ParseStreamLine("{\"series\":\"s\",\"values\":[]}").ok());
   EXPECT_FALSE(ParseStreamLine("{\"op\":\"explode\"}").ok());
+}
+
+// A point beyond float range would narrow to +-inf inside the scorer.
+TEST(StreamProtocolTest, PointsBeyondFloatRangeAreOutOfRange) {
+  auto burst = ParseStreamLine("{\"series\":\"s\",\"values\":[1,1e39]}");
+  ASSERT_FALSE(burst.ok());
+  EXPECT_EQ(burst.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(burst.status().message().find("\"values\"[1]"), std::string::npos)
+      << burst.status();
+  auto point = ParseStreamLine("{\"series\":\"s\",\"value\":-3.4028236e38}");
+  ASSERT_FALSE(point.ok());
+  EXPECT_EQ(point.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(point.status().message().find("\"value\""), std::string::npos)
+      << point.status();
+  auto edge = ParseStreamLine("{\"series\":\"s\",\"value\":3.4028235e38}");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->values[0], std::numeric_limits<float>::max());
 }
 
 TEST(StreamProtocolTest, EndToEndLoopEmitsSelectionAndStats) {

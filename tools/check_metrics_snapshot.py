@@ -143,6 +143,7 @@ def check_bench_kernels(path, snapshot):
 # An empty one means a stage stopped being stamped (or RecordFlushed
 # stopped running), which is exactly the silent regression this guards.
 OPS_STAGE_HISTOGRAMS = [
+    "kdsel.net.stage.parse",
     "kdsel.net.stage.queue",
     "kdsel.net.stage.batch_wait",
     "kdsel.net.stage.compute",
