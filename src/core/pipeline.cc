@@ -204,10 +204,22 @@ StatusOr<std::unique_ptr<TrainedSelector>> SelectorManager::Load(
   // A missing checkpoint is reported by name: the directory stays out
   // of replies that reach serving clients.
   std::error_code ec;
-  if (!fs::exists(PathFor(name) + ".meta", ec) && !ec) {
+  const std::string prefix = PathFor(name);
+  if (!fs::exists(prefix + ".meta", ec) && !ec) {
     return Status::NotFound("no saved selector named " + name);
   }
-  return TrainedSelector::Load(PathFor(name));
+  auto loaded = TrainedSelector::Load(prefix);
+  if (loaded.ok()) return loaded;
+  // A half-written or corrupt checkpoint keeps its code. The lower
+  // layers name files by the path prefix they were given; replies name
+  // them by the selector's name instead.
+  std::string detail = loaded.status().message();
+  for (size_t at = detail.find(prefix); at != std::string::npos;
+       at = detail.find(prefix, at + name.size())) {
+    detail.replace(at, prefix.size(), name);
+  }
+  return Status(loaded.status().code(),
+                "saved selector " + name + ": " + detail);
 }
 
 StatusOr<std::vector<std::string>> SelectorManager::List() const {

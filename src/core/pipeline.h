@@ -91,7 +91,10 @@ StatusOr<DetectionResult> RunSelectedDetection(
 /// system's Selector Management module). Save, Load and Remove take a
 /// non-empty name without '/' (InvalidArgument otherwise), so a name
 /// from a client cannot reach files outside the directory. Load and
-/// Remove return NotFound for a name with no saved checkpoint.
+/// Remove return NotFound for a name with no saved checkpoint. A Load
+/// that finds `<name>.meta` but fails keeps TrainedSelector::Load's
+/// code; its message names the selector and its files
+/// (`saved selector bench: ... bench.weights`), never the directory.
 class SelectorManager {
  public:
   explicit SelectorManager(std::string directory);

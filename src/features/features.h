@@ -19,26 +19,22 @@ size_t FeatureCount();
 /// computed mean differ from the constant by a few ulps, so absolute
 /// epsilon checks (and the raw beyond-sigma counts) misfire. For such
 /// windows skewness, kurtosis, the autocorrelation lags, and the
-/// beyond-sigma ratios are defined as exactly 0; the batch and streaming
-/// extractors both honor this contract.
+/// beyond-sigma ratios are defined as exactly 0. The streaming moments
+/// (stream::WindowMoments) apply the same test to their skewness and
+/// lag-1 autocorrelation.
 bool DegenerateVariance(double var, double mean);
 
-/// Reusable temporaries for ExtractFeaturesInto. Reserve(n) once with the
-/// maximum window length and every subsequent extraction of length <= n
-/// is heap-allocation-free (the streaming ingest path depends on this).
+/// Reusable temporaries for ExtractFeaturesInto. The vectors keep their
+/// capacity between calls, so once an extraction of length n has run,
+/// every later one of length <= n is heap-allocation-free
+/// (ExtractFeaturesBatch reuses one per chunk).
 struct FeatureScratch {
   std::vector<float> sorted;
   std::vector<float> dev;
-
-  void Reserve(size_t n) {
-    sorted.reserve(n);
-    dev.reserve(n);
-  }
 };
 
-/// Allocation-free core of ExtractFeatures: writes exactly FeatureCount()
-/// values to `out`, using `scratch` for sorting temporaries. Requires
-/// n >= 4.
+/// Core of ExtractFeatures: writes exactly FeatureCount() values to
+/// `out`, using `scratch` for sorting temporaries. Requires n >= 4.
 void ExtractFeaturesInto(const float* window, size_t n,
                          FeatureScratch& scratch, float* out);
 

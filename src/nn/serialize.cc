@@ -75,26 +75,26 @@ StatusOr<std::vector<Tensor>> ReadTensors(const std::string& path) {
     return Status::IoError("bad magic in " + path);
   }
   uint64_t count = 0;
-  if (!read_u64(&count)) return Status::IoError("truncated header");
+  if (!read_u64(&count)) return Status::IoError("truncated header in " + path);
   std::vector<Tensor> tensors;
   tensors.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t rank = 0;
     if (!read_u32(&rank) || rank == 0 || rank > 4) {
-      return Status::IoError("bad tensor rank");
+      return Status::IoError("bad tensor rank in " + path);
     }
     std::vector<size_t> shape(rank);
     size_t total = 1;
     for (uint32_t d = 0; d < rank; ++d) {
       uint64_t dim = 0;
-      if (!read_u64(&dim)) return Status::IoError("truncated shape");
+      if (!read_u64(&dim)) return Status::IoError("truncated shape in " + path);
       shape[d] = static_cast<size_t>(dim);
       total *= shape[d];
     }
     std::vector<float> data(total);
     in.read(reinterpret_cast<char*>(data.data()),
             static_cast<std::streamsize>(total * sizeof(float)));
-    if (!in) return Status::IoError("truncated tensor payload");
+    if (!in) return Status::IoError("truncated tensor payload in " + path);
     tensors.emplace_back(std::move(shape), std::move(data));
   }
   return tensors;

@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "stream/incremental_features.h"
+#include "stream/window_moments.h"
 
 namespace kdsel::stream {
 

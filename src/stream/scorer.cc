@@ -51,14 +51,13 @@ StreamMetrics& Metrics() {
 struct StreamScorer::SeriesState {
   SeriesState(std::string series_name, const StreamOptions& options)
       : name(std::move(series_name)),
-        features(IncrementalOptions{options.window,
-                                    options.recompute_interval}),
+        moments(options.window),
         drift(options.drift) {
     window_values.reserve(options.window);
   }
 
   std::string name;
-  IncrementalFeatures features;
+  WindowMoments moments;
   DriftMonitor drift;
   std::vector<float> pending;  ///< Values routed to this series this batch.
   std::vector<StreamEvent> drift_events;
@@ -66,7 +65,6 @@ struct StreamScorer::SeriesState {
   uint64_t last_rescore_point = 0;
   int last_model = -1;
   bool rescore_pending = false;
-  bool drift_pending = false;
   const char* pending_reason = "initial";
 };
 
@@ -106,7 +104,6 @@ void StreamScorer::NoteDrift(SeriesState& state, uint64_t total) {
   event.statistic = state.drift.statistic();
   state.drift_events.push_back(std::move(event));
   state.drift.Rebase();
-  state.drift_pending = true;
   state.rescore_pending = true;
   state.pending_reason = "drift";
 }
@@ -114,20 +111,20 @@ void StreamScorer::NoteDrift(SeriesState& state, uint64_t total) {
 KDSEL_HOT void StreamScorer::IngestPending(SeriesState& state,
                                            size_t min_points) {
   for (float value : state.pending) {
-    state.features.Push(value);
-    const uint64_t total = state.features.buffer().total();
+    state.moments.Push(value);
+    const uint64_t total = state.moments.buffer().total();
 
     if (options_.drift_check_interval > 0 &&
         total % options_.drift_check_interval == 0 &&
-        state.features.buffer().size() >= 2) {
-      const MomentSummary summary = state.features.Moments();
+        state.moments.buffer().size() >= 2) {
+      const MomentSummary summary = state.moments.Moments();
       if (state.drift.Observe(summary)) {
         NoteDrift(state, total);
       }
     }
 
     if (!state.rescore_pending &&
-        state.features.buffer().size() >= min_points) {
+        state.moments.buffer().size() >= min_points) {
       const bool due =
           state.last_model < 0 ||
           total - state.last_rescore_point >= options_.rescore_interval;
@@ -146,9 +143,9 @@ Status StreamScorer::RescoreSeries(SeriesState& state,
   KDSEL_SPAN("stream.Rescore");
   const uint64_t start_ns = obs::NowNs();
 
-  const size_t n = state.features.buffer().size();
+  const size_t n = state.moments.buffer().size();
   state.window_values.resize(n);
-  state.features.buffer().CopyTo(state.window_values.data());
+  state.moments.buffer().CopyTo(state.window_values.data());
   ts::TimeSeries series(state.name, state.window_values);
 
   ts::WindowOptions window_options;
@@ -160,7 +157,7 @@ Status StreamScorer::RescoreSeries(SeriesState& state,
 
   out->kind = StreamEvent::Kind::kSelection;
   out->series = state.name;
-  out->point = state.features.buffer().total();
+  out->point = state.moments.buffer().total();
   out->model = selection.model;
   out->model_name = ModelName(selection.model);
   out->votes = std::move(selection.votes);
@@ -242,9 +239,8 @@ StatusOr<std::vector<StreamEvent>> StreamScorer::ProcessBatch(
     Metrics().rescores.Increment();
     if (event.changed) Metrics().selection_changes.Increment();
     state->last_model = event.model;
-    state->last_rescore_point = state->features.buffer().total();
+    state->last_rescore_point = state->moments.buffer().total();
     state->rescore_pending = false;
-    state->drift_pending = false;
     out.push_back(std::move(event));
   }
   return out;

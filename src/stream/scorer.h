@@ -11,16 +11,17 @@
 #include "common/annotations.h"
 #include "serve/registry.h"
 #include "stream/drift.h"
-#include "stream/incremental_features.h"
+#include "stream/window_moments.h"
 
 namespace kdsel::stream {
 
 struct StreamOptions {
-  std::string selector;             ///< Registry name scored against.
-  size_t window = 256;              ///< Ring capacity per series.
-  size_t rescore_interval = 128;    ///< Points between periodic re-scores.
+  std::string selector;  ///< Registry name scored against.
+  /// Ring capacity per series, at least kMinWindow. The moment sums are
+  /// rebuilt exactly every `window` points.
+  size_t window = 256;
+  size_t rescore_interval = 128;     ///< Points between periodic re-scores.
   size_t drift_check_interval = 16;  ///< Points between drift checks.
-  size_t recompute_interval = 0;    ///< Exact-recompute cadence; 0 = window.
   DriftOptions drift;
   std::vector<std::string> model_names;  ///< Optional id -> display name.
 };
@@ -48,8 +49,9 @@ struct StreamEvent {
   uint64_t selector_version = 0;  ///< Registry snapshot that scored it.
 };
 
-/// Multiplexes many series through incremental feature maintenance,
-/// drift monitoring, and periodic selector re-scoring against a
+/// Multiplexes many series through a ring window with running moments
+/// (WindowMoments), drift monitoring on those moments, and selector
+/// re-scoring of the raw window, periodic or drift-triggered, against a
 /// serve::SelectorRegistry snapshot (hot reload: a new registry version
 /// is picked up at the next batch).
 ///
@@ -79,9 +81,9 @@ class StreamScorer {
   struct SeriesState;
 
   SeriesState* FindOrCreate(const std::string& name);
-  /// Steady-state per-point loop: feature pushes, drift checks, rescore
-  /// scheduling. KDSEL_HOT -- kdsel_lint proves no allocation happens
-  /// here outside the NoteDrift boundary.
+  /// Steady-state per-point loop: window pushes, drift checks on the
+  /// moments, rescore scheduling. KDSEL_HOT -- kdsel_lint proves no
+  /// allocation happens here outside the NoteDrift boundary.
   void IngestPending(SeriesState& state, size_t min_points);
   /// Drift events are rare (one per detected distribution change), so
   /// the event construction + push is an accepted allocation boundary

@@ -108,7 +108,6 @@ TEST(FeatureValuesTest, ExtractIntoMatchesVectorApi) {
   for (float& v : window) v = static_cast<float>(rng.Normal(1.0, 2.0));
   auto f = ExtractFeatures(window);
   FeatureScratch scratch;
-  scratch.Reserve(window.size());
   std::vector<float> into(FeatureCount());
   ExtractFeaturesInto(window.data(), window.size(), scratch, into.data());
   for (size_t j = 0; j < f.size(); ++j) {

@@ -131,6 +131,51 @@ TEST_F(SelectorManagerFailureTest, CorruptedMagicReturnsError) {
   EXPECT_FALSE(manager_->Load("good").ok());
 }
 
+// A missing, half-written or corrupt `.weights` next to a valid `.meta`
+// is an IoError that names the selector and its file, never the
+// directory (the message reaches serving clients).
+class HalfWrittenCheckpointTest : public SelectorManagerFailureTest {
+ protected:
+  void ExpectIoErrorWithoutDirectory(const std::string& context) {
+    auto loaded = manager_->Load("good");
+    ASSERT_FALSE(loaded.ok()) << context;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+        << context << ": " << loaded.status();
+    const std::string& message = loaded.status().message();
+    EXPECT_EQ(message.rfind("saved selector good: ", 0), 0u)
+        << context << ": " << message;
+    EXPECT_NE(message.find("good.weights"), std::string::npos)
+        << context << ": " << message;
+    EXPECT_EQ(message.find(dir_), std::string::npos)
+        << context << ": " << message;
+  }
+};
+
+TEST_F(HalfWrittenCheckpointTest, MissingWeights) {
+  fs::remove(weights_path_);
+  ExpectIoErrorWithoutDirectory("missing");
+}
+
+TEST_F(HalfWrittenCheckpointTest, TruncatedWeights) {
+  const std::string payload = ReadFile(weights_path_);
+  ASSERT_GT(payload.size(), 16u);
+  for (const size_t keep :
+       {size_t{0}, size_t{2}, size_t{9}, payload.size() / 2,
+        payload.size() - 1}) {
+    WriteFile(weights_path_, payload.substr(0, keep));
+    ExpectIoErrorWithoutDirectory("kept " + std::to_string(keep) + " bytes");
+  }
+}
+
+TEST_F(HalfWrittenCheckpointTest, BadMagicWeights) {
+  std::string payload = ReadFile(weights_path_);
+  ASSERT_GT(payload.size(), 4u);
+  payload[0] = 'X';
+  payload[1] = 'Y';
+  WriteFile(weights_path_, payload);
+  ExpectIoErrorWithoutDirectory("bad magic");
+}
+
 TEST_F(SelectorManagerFailureTest, ArchitectureMismatchReturnsError) {
   // The weights on disk are for a ConvNet backbone; claiming a different
   // architecture in the metadata must be rejected at load time.

@@ -1,8 +1,9 @@
-// Streaming subsystem tests: ring-buffer mechanics, incremental-vs-batch
-// feature parity over long streams, drift triggering, deterministic
-// multiplexed scoring at different thread counts, steady-state
-// allocation behavior of the ingest path (train_alloc_test style), and
-// registry hot reload during active streaming.
+// Streaming subsystem tests: ring-buffer mechanics, running-moment vs
+// batch-extractor parity over long streams, drift triggering (including
+// an exact list of fire points), deterministic multiplexed scoring at
+// different thread counts, the wire protocol under seeded mutation,
+// steady-state allocation behavior of the ingest path (train_alloc_test
+// style), and registry hot reload during active streaming.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,10 +33,10 @@
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "stream/drift.h"
-#include "stream/incremental_features.h"
 #include "stream/protocol.h"
 #include "stream/scorer.h"
 #include "stream/stream_buffer.h"
+#include "stream/window_moments.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -119,41 +122,48 @@ TEST(StreamBufferTest, WrapAroundKeepsLogicalOrder) {
   }
 }
 
-// Feature-parity harness: stream `points` through IncrementalFeatures
-// and at checkpoints compare the full vector against the batch extractor
-// on the identical window.
+// Moment-parity harness: stream `points` through WindowMoments and at
+// checkpoints compare each MomentSummary field, narrowed to float, with
+// the batch extractor's slot of the same statistic on the identical
+// window.
 void ExpectStreamMatchesBatch(const std::vector<float>& points, size_t window,
                               const std::string& context) {
-  IncrementalOptions options;
-  options.window = window;
-  IncrementalFeatures incremental(options);
-  std::vector<float> streamed(features::FeatureCount());
-  const size_t checkpoint = 9973;  // prime: checkpoints drift over phases
+  const std::vector<std::string>& names = features::FeatureNames();
+  size_t slots[MomentSummary::kDims];
+  const char* const kSlotNames[MomentSummary::kDims] = {
+      "mean", "std", "skewness", "autocorr_lag1", "mean_abs_change", "rms"};
+  for (size_t j = 0; j < MomentSummary::kDims; ++j) {
+    slots[j] = static_cast<size_t>(
+        std::find(names.begin(), names.end(), kSlotNames[j]) - names.begin());
+    ASSERT_LT(slots[j], names.size()) << kSlotNames[j];
+  }
 
+  WindowMoments moments(window);
+  const size_t checkpoint = 9973;  // prime: checkpoints drift over phases
   for (size_t i = 0; i < points.size(); ++i) {
-    incremental.Push(points[i]);
+    moments.Push(points[i]);
     const bool last = i + 1 == points.size();
-    if (!incremental.ready()) continue;
+    const size_t n = moments.buffer().size();
+    if (n < 4) continue;  // the batch extractor's minimum window
     if ((i + 1) % checkpoint != 0 && !last) continue;
 
-    incremental.Features(streamed.data());
-    const size_t n = incremental.buffer().size();
+    double streamed[MomentSummary::kDims];
+    moments.Moments().ToArray(streamed);
     std::vector<float> window_copy(n);
-    incremental.buffer().CopyTo(window_copy.data());
+    moments.buffer().CopyTo(window_copy.data());
     const std::vector<float> batch = features::ExtractFeatures(window_copy);
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (size_t j = 0; j < batch.size(); ++j) {
+    for (size_t j = 0; j < MomentSummary::kDims; ++j) {
+      const float expected = batch[slots[j]];
       // Relative 1e-5: float quantization alone exceeds absolute 1e-5
-      // for large-magnitude features (abs_energy of a level-10 signal).
+      // for large-magnitude statistics (the mean of the wobble stream).
       const double tolerance =
-          1e-5 * std::max(1.0, std::abs(static_cast<double>(batch[j])));
-      EXPECT_NEAR(streamed[j], batch[j], tolerance)
-          << context << ": feature " << features::FeatureNames()[j]
-          << " at point " << i + 1;
+          1e-5 * std::max(1.0, std::abs(static_cast<double>(expected)));
+      EXPECT_NEAR(static_cast<float>(streamed[j]), expected, tolerance)
+          << context << ": " << kSlotNames[j] << " at point " << i + 1;
     }
   }
   if (points.size() >= 2 * window) {
-    EXPECT_GE(incremental.recomputes(), points.size() / window - 1)
+    EXPECT_GE(moments.recomputes(), points.size() / window - 1)
         << context << ": periodic exact recompute did not run";
   }
 }
@@ -191,20 +201,31 @@ TEST(IncrementalParityTest, ShortWindowPartialFill) {
   ExpectStreamMatchesBatch(points, 256, "partial-fill");
 }
 
-// Drift harness: stream points, observing moments every `interval`
-// pushes; returns the first point index at which the monitor fired, or 0.
-uint64_t FirstDriftPoint(const std::vector<float>& points,
-                         const DriftOptions& options, size_t interval = 16) {
-  IncrementalOptions inc_options;
-  inc_options.window = 256;
-  IncrementalFeatures incremental(inc_options);
+// Drift harness: stream points through a 256-point window, observing
+// moments every 16 pushes and rebasing after each fire, as the scorer
+// does with its defaults; returns every point count at which the
+// monitor fired.
+std::vector<uint64_t> DriftFirePoints(const std::vector<float>& points,
+                                      const DriftOptions& options) {
+  WindowMoments moments(256);
   DriftMonitor monitor(options);
+  std::vector<uint64_t> fires;
   for (size_t i = 0; i < points.size(); ++i) {
-    incremental.Push(points[i]);
-    if ((i + 1) % interval != 0 || incremental.buffer().size() < 2) continue;
-    if (monitor.Observe(incremental.Moments())) return i + 1;
+    moments.Push(points[i]);
+    if ((i + 1) % 16 != 0 || moments.buffer().size() < 2) continue;
+    if (monitor.Observe(moments.Moments())) {
+      fires.push_back(i + 1);
+      monitor.Rebase();
+    }
   }
-  return 0;
+  return fires;
+}
+
+// The first point at which the monitor fired, or 0.
+uint64_t FirstDriftPoint(const std::vector<float>& points,
+                         const DriftOptions& options) {
+  const std::vector<uint64_t> fires = DriftFirePoints(points, options);
+  return fires.empty() ? 0 : fires.front();
 }
 
 TEST(DriftMonitorTest, SilentOnStationaryStreams) {
@@ -265,6 +286,26 @@ TEST(DriftMonitorTest, FiresOnInjectedRegimeSwitch) {
   const uint64_t fired2 = FirstDriftPoint(subtle, options);
   EXPECT_GT(fired2, kSwitch);
   EXPECT_LE(fired2, kSwitch + 4000);
+
+  // Exact decisions: a square wave of period 50 plus uniform noise from
+  // an integer LCG, its level stepping 2 -> 6 -> 30 -> 2 every 10k
+  // points. Built from exactly rounded float operations only (no libm),
+  // so the input is the same bits on every platform, and the fire list
+  // pins the moment arithmetic: a change that moves any MomentSummary
+  // field by an ulp can move a fire point.
+  std::vector<float> steps(40000);
+  const float kLevels[] = {2.0f, 6.0f, 30.0f, 2.0f};
+  uint32_t lcg = 12345;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    lcg = lcg * 1664525u + 1013904223u;
+    const float noise =
+        static_cast<float>(static_cast<int32_t>(lcg >> 8) - (1 << 23)) /
+        static_cast<float>(1 << 25);  // uniform in [-0.25, 0.25)
+    const float square = (i / 25) % 2 == 0 ? 1.0f : -1.0f;
+    steps[i] = kLevels[i / 10000] + square + noise;
+  }
+  EXPECT_EQ(DriftFirePoints(steps, options),
+            (std::vector<uint64_t>{10048, 20048, 30272}));
 }
 
 TEST(DriftMonitorTest, RebaseRecalibratesOnNewRegime) {
@@ -520,6 +561,119 @@ TEST(StreamProtocolTest, PointsBeyondFloatRangeAreOutOfRange) {
   EXPECT_EQ(edge->values[0], std::numeric_limits<float>::max());
 }
 
+// Whatever the bytes, ParseStreamLine answers with a usable request or a
+// typed error: OK (a point line then names a series and carries only
+// finite values), InvalidArgument or OutOfRange. Returns the code.
+StatusCode ExpectTypedParse(const std::string& line) {
+  auto parsed = ParseStreamLine(line);
+  const std::string shown = line.substr(0, 120);
+  if (!parsed.ok()) {
+    const StatusCode code = parsed.status().code();
+    EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                code == StatusCode::kOutOfRange)
+        << parsed.status() << " for " << shown;
+    return code;
+  }
+  if (parsed->op == StreamRequest::Op::kPoints) {
+    EXPECT_FALSE(parsed->series.empty()) << shown;
+    EXPECT_FALSE(parsed->values.empty()) << shown;
+    for (float v : parsed->values) EXPECT_TRUE(std::isfinite(v)) << shown;
+  }
+  return StatusCode::kOk;
+}
+
+// Spans of the number and string tokens of `line`: the places a
+// substituted token lands.
+std::vector<std::pair<size_t, size_t>> TokenSpans(const std::string& line) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  for (size_t i = 0; i < line.size();) {
+    const char c = line[i];
+    size_t end = i + 1;
+    if (c == '"') {
+      while (end < line.size() && line[end] != '"') ++end;
+      end = std::min(end + 1, line.size());  // past the closing quote
+      spans.emplace_back(i, end - i);
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      while (end < line.size() &&
+             std::string_view("0123456789.eE+-").find(line[end]) !=
+                 std::string_view::npos) {
+        ++end;
+      }
+      spans.emplace_back(i, end - i);
+    }
+    i = std::max(end, i + 1);
+  }
+  return spans;
+}
+
+TEST(StreamProtocolTest, MutatedLinesParseOrFailTyped) {
+  const std::vector<std::string> seeds = {
+      R"({"series":"s1","value":0.5})",
+      R"({"series":"host42.cpu","values":[0.74,-0.69,72e-2,1,3]})",
+      R"({"op":"points","series":"s3","values":[4,5.25]})",
+      R"({"op":"reload"})",
+      R"({"op":"stats"})",
+      R"({"op":"quit"})",
+  };
+  const char* const kTokens[] = {"1e39", "1e400", "-0",  "1e-310",
+                                 "+1",   ".5",    "NaN", "null"};
+  Rng rng(24);
+  size_t counts[3] = {0, 0, 0};  // OK, InvalidArgument, OutOfRange
+  for (int round = 0; round < 1500; ++round) {
+    for (const std::string& seed : seeds) {
+      std::string line = seed;
+      switch (rng.Index(3)) {
+        case 0:  // byte flips
+          for (size_t k = 1 + rng.Index(3); k > 0; --k) {
+            line[rng.Index(line.size())] = static_cast<char>(rng.Index(256));
+          }
+          break;
+        case 1:  // truncation
+          line.resize(rng.Index(line.size()));
+          break;
+        default: {  // an edge token in place of a number or string
+          const auto spans = TokenSpans(line);
+          const auto& [at, length] = spans[rng.Index(spans.size())];
+          line.replace(at, length, kTokens[rng.Index(std::size(kTokens))]);
+        }
+      }
+      switch (ExpectTypedParse(line)) {
+        case StatusCode::kOk:
+          ++counts[0];
+          break;
+        case StatusCode::kInvalidArgument:
+          ++counts[1];
+          break;
+        default:
+          ++counts[2];
+      }
+    }
+  }
+  // Every outcome class is exercised, so the contract above is tested.
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_GT(counts[1], 0u);
+  EXPECT_GT(counts[2], 0u);
+
+  // 100k-deep nesting is refused, not recursed into.
+  const std::string deep(100000, '[');
+  EXPECT_EQ(ExpectTypedParse(R"({"series":"s","values":)" + deep + "1" +
+                             std::string(100000, ']') + "}"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExpectTypedParse(deep), StatusCode::kInvalidArgument);
+
+  // A 100k-element burst parses whole.
+  std::string burst = R"({"series":"big","values":[)";
+  for (int i = 0; i < 100000; ++i) {
+    if (i > 0) burst.push_back(',');
+    burst += std::to_string(i % 1000) + ".5";
+  }
+  burst += "]}";
+  auto big = ParseStreamLine(burst);
+  ASSERT_TRUE(big.ok()) << big.status();
+  ASSERT_EQ(big->values.size(), 100000u);
+  EXPECT_EQ(big->values.back(), 999.5f);
+}
+
 TEST(StreamProtocolTest, EndToEndLoopEmitsSelectionAndStats) {
   serve::SelectorRegistry registry(
       core::SelectorManager("/tmp/kdsel_stream_none"));
@@ -572,27 +726,21 @@ TEST(StreamProtocolTest, EndToEndLoopEmitsSelectionAndStats) {
 }
 
 TEST(StreamAllocTest, SteadyStateIngestAllocatesNothing) {
-  IncrementalOptions inc_options;
-  inc_options.window = 256;
-  IncrementalFeatures incremental(inc_options);
+  WindowMoments moments(256);
   DriftMonitor monitor(DriftOptions{});
-  std::vector<float> feature_buffer(features::FeatureCount());
 
-  // One synthetic ingest step: push + drift check cadence + the full
-  // feature extraction at the re-score cadence.
+  // One synthetic ingest step: push + the drift check cadence.
   Rng rng(12);
   uint64_t t = 0;
   auto step = [&] {
-    incremental.Push(
+    moments.Push(
         static_cast<float>(std::sin(0.21 * static_cast<double>(t)) +
                            0.1 * rng.Normal()));
     ++t;
-    if (t % 16 == 0) monitor.Observe(incremental.Moments());
-    if (t % 128 == 0) incremental.Features(feature_buffer.data());
+    if (t % 16 == 0) monitor.Observe(moments.Moments());
   };
 
-  // Warmup: fill the ring, cross several exact recomputes, and run the
-  // extraction once so every scratch vector reaches steady capacity.
+  // Warmup: fill the ring and cross several exact recomputes.
   for (size_t i = 0; i < 1024; ++i) step();
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -600,7 +748,7 @@ TEST(StreamAllocTest, SteadyStateIngestAllocatesNothing) {
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state ingest path allocated " << after - before << " times";
-  EXPECT_GE(incremental.recomputes(), 40u);
+  EXPECT_GE(moments.recomputes(), 40u);
 }
 
 }  // namespace

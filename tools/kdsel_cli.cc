@@ -46,6 +46,7 @@
 #include "serve/server.h"
 #include "stream/protocol.h"
 #include "stream/scorer.h"
+#include "stream/window_moments.h"
 #include "ts/dataset.h"
 #include "tsad/detector.h"
 
@@ -557,6 +558,12 @@ int CmdStream(const Flags& flags) {
                  " see README section 'kdsel stream'\n");
     return 2;
   }
+  const size_t window = flags.GetInt("window", 256);
+  if (window < stream::kMinWindow) {
+    std::fprintf(stderr, "--window must be at least %zu, got %zu\n",
+                 stream::kMinWindow, window);
+    return 2;
+  }
   auto registry = std::make_unique<serve::SelectorRegistry>(
       core::SelectorManager(sel_dir));
   if (flags.Has("preload")) {
@@ -571,7 +578,7 @@ int CmdStream(const Flags& flags) {
 
   stream::StreamOptions opts;
   opts.selector = selector;
-  opts.window = flags.GetInt("window", 256);
+  opts.window = window;
   opts.rescore_interval = flags.GetInt("rescore", 128);
   opts.drift_check_interval = flags.GetInt("drift-check", 16);
   opts.drift.threshold = flags.GetDouble("drift-threshold", 16.0);
@@ -779,7 +786,7 @@ void PrintUsage() {
       "  detect     select a model for a series and run the detection\n"
       "  serve      long-lived inference server (NDJSON, stdin/stdout or TCP)\n"
       "  ops        fetch live telemetry from a running TCP server\n"
-      "  stream     online scorer: incremental features + drift-triggered"
+      "  stream     online scorer: running window moments + drift-triggered"
       " re-selection\n"
       "  quantize   int8-quantize a saved selector (served as NAME.int8)\n"
       "  trace      record a chrome://tracing profile of a small training "
