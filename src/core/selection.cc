@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace kdsel::core {
 
 StatusOr<SeriesSelection> VoteSeriesSelection(
-    const std::vector<int>& predictions, size_t num_classes) {
+    std::span<const int> predictions, size_t num_classes) {
   if (num_classes == 0) {
     return Status::InvalidArgument("num_classes must be positive");
   }
@@ -30,31 +32,53 @@ StatusOr<SeriesSelection> VoteSeriesSelection(
 StatusOr<SeriesSelection> SelectSeriesModel(
     const selectors::Selector& selector, const ts::TimeSeries& series,
     const ts::WindowOptions& window_options, size_t num_classes) {
-  if (num_classes == 0) {
-    return Status::InvalidArgument("num_classes must be positive");
-  }
-  KDSEL_ASSIGN_OR_RETURN(auto windows,
-                         ts::ExtractWindows(series, 0, window_options));
-  if (windows.empty()) {
-    return Status::InvalidArgument("series produced no windows");
-  }
-  std::vector<std::vector<float>> rows;
-  rows.reserve(windows.size());
-  for (auto& w : windows) rows.push_back(std::move(w.values));
-  KDSEL_ASSIGN_OR_RETURN(auto pred, selector.Predict(rows));
-  return VoteSeriesSelection(pred, num_classes);
+  return std::move(
+      SelectSeriesModels(selector, {&series}, window_options, num_classes)
+          .front());
 }
 
-StatusOr<std::vector<SeriesSelection>> SelectSeriesModels(
+std::vector<StatusOr<SeriesSelection>> SelectSeriesModels(
     const selectors::Selector& selector,
-    const std::vector<ts::TimeSeries>& series,
+    const std::vector<const ts::TimeSeries*>& series,
     const ts::WindowOptions& window_options, size_t num_classes) {
-  std::vector<SeriesSelection> out;
+  if (num_classes == 0) {
+    return std::vector<StatusOr<SeriesSelection>>(
+        series.size(),
+        Status::InvalidArgument("num_classes must be positive"));
+  }
+  // Series i owns rows [offsets[i], offsets[i + 1]); a series that failed
+  // already holds its error and owns no rows.
+  std::vector<StatusOr<SeriesSelection>> out;
   out.reserve(series.size());
-  for (const auto& s : series) {
-    KDSEL_ASSIGN_OR_RETURN(
-        auto sel, SelectSeriesModel(selector, s, window_options, num_classes));
-    out.push_back(std::move(sel));
+  std::vector<std::vector<float>> rows;
+  std::vector<size_t> offsets(series.size() + 1, 0);
+  for (size_t i = 0; i < series.size(); ++i) {
+    auto windows = ts::ExtractWindows(*series[i], i, window_options);
+    if (!windows.ok()) {
+      out.emplace_back(windows.status());
+    } else if (windows->empty()) {
+      out.emplace_back(Status::InvalidArgument("series produced no windows"));
+    } else {
+      out.emplace_back(SeriesSelection{});
+      for (auto& w : *windows) rows.push_back(std::move(w.values));
+    }
+    offsets[i + 1] = rows.size();
+  }
+  if (rows.empty()) return out;
+
+  auto predicted = selector.Predict(rows);
+  // Selector contract: one prediction per window.
+  KDSEL_CHECK(!predicted.ok() || predicted->size() == rows.size());
+  for (size_t i = 0; i < series.size(); ++i) {
+    if (!out[i].ok()) continue;
+    if (!predicted.ok()) {
+      out[i] = predicted.status();
+      continue;
+    }
+    out[i] = VoteSeriesSelection(
+        std::span<const int>(*predicted)
+            .subspan(offsets[i], offsets[i + 1] - offsets[i]),
+        num_classes);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef KDSEL_CORE_SELECTION_H_
 #define KDSEL_CORE_SELECTION_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -17,11 +18,9 @@ struct SeriesSelection {
 };
 
 /// Majority-votes one model id from per-window predictions. Ties break
-/// toward the lower model id, deterministically. Shared by the offline
-/// protocol below and by the serving layer, which batches the selector
-/// forward pass across concurrent requests and votes per request.
+/// toward the lower model id, deterministically.
 StatusOr<SeriesSelection> VoteSeriesSelection(
-    const std::vector<int>& predictions, size_t num_classes);
+    std::span<const int> predictions, size_t num_classes);
 
 /// Applies the paper's series-level protocol: extract fixed-length
 /// windows from `series`, let the (window-level) selector predict a
@@ -31,10 +30,17 @@ StatusOr<SeriesSelection> SelectSeriesModel(
     const selectors::Selector& selector, const ts::TimeSeries& series,
     const ts::WindowOptions& window_options, size_t num_classes);
 
-/// Batch version over several series.
-StatusOr<std::vector<SeriesSelection>> SelectSeriesModels(
+/// The same protocol over several series with ONE selector forward:
+/// every series' windows go through a single Predict (none when no
+/// series produced a window), and each series is voted on its own slice
+/// of the predictions. Slot i holds series i's selection or series i's
+/// own error (its windowing error, or "series produced no windows"); a
+/// failed forward fails every slot it fed, and `num_classes == 0` fails
+/// every slot. Inference is row-independent and deterministic, so each
+/// slot equals SelectSeriesModel of that series alone.
+std::vector<StatusOr<SeriesSelection>> SelectSeriesModels(
     const selectors::Selector& selector,
-    const std::vector<ts::TimeSeries>& series,
+    const std::vector<const ts::TimeSeries*>& series,
     const ts::WindowOptions& window_options, size_t num_classes);
 
 }  // namespace kdsel::core

@@ -483,6 +483,12 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Clone() const {
 }
 
 Status TrainedSelector::Save(const std::string& prefix) const {
+  if (input_length() > kMaxInputLength || num_classes_ > kMaxClasses) {
+    return Status::InvalidArgument(
+        "checkpoint bounds are input_length <= " +
+        std::to_string(kMaxInputLength) +
+        " and num_classes <= " + std::to_string(kMaxClasses));
+  }
   std::ofstream meta(prefix + ".meta");
   if (!meta) return Status::IoError("cannot write " + prefix + ".meta");
   meta << "backbone=" << backbone_->name() << "\n";
@@ -534,10 +540,12 @@ StatusOr<std::unique_ptr<TrainedSelector>> TrainedSelector::Load(
     if (eq == std::string::npos) continue;
     std::string key = line.substr(0, eq), value = line.substr(eq + 1);
     if (key == "backbone") backbone_name = value;
-    if (key == "input_length" && !parse_size(value, input_length)) {
+    if (key == "input_length" && (!parse_size(value, input_length) ||
+                                  input_length > kMaxInputLength)) {
       return Status::IoError("invalid input_length in selector meta file");
     }
-    if (key == "num_classes" && !parse_size(value, num_classes)) {
+    if (key == "num_classes" && (!parse_size(value, num_classes) ||
+                                 num_classes > kMaxClasses)) {
       return Status::IoError("invalid num_classes in selector meta file");
     }
     if (key == "display_name") display_name = value;

@@ -140,8 +140,17 @@ class TrainedSelector : public selectors::Selector {
   /// QuantizeInt8, Load and Clone.
   bool IsInt8() const { return int8_; }
 
+  /// Bounds on the architecture a checkpoint may describe. Selectors
+  /// window 16-1,024 points and the model set has 12 detectors; a `.meta`
+  /// beyond these bounds is corrupt. Serving what it describes could
+  /// exhaust memory: a Transformer on a window with no small divisor
+  /// attends over one token per point, T^2 scores per head.
+  static constexpr size_t kMaxInputLength = size_t{1} << 12;
+  static constexpr size_t kMaxClasses = size_t{1} << 12;
+
   /// Persists architecture info + weights as `<prefix>.meta` and
-  /// `<prefix>.weights`.
+  /// `<prefix>.weights`. Refuses an architecture beyond the bounds
+  /// above, which Load would refuse.
   Status Save(const std::string& prefix) const;
   /// Restores a selector saved with Save.
   static StatusOr<std::unique_ptr<TrainedSelector>> Load(

@@ -57,6 +57,13 @@ void PickTrace(const char* client, size_t shard_index, uint64_t& trace_seq,
   }
 }
 
+/// listen(2) backlog per shard socket.
+constexpr int kListenBacklog = 1024;
+
+/// Backpressure: a connection whose pending output exceeds this many
+/// bytes stops being read; reading resumes below half of it.
+constexpr size_t kMaxWriteBufferBytes = size_t{4} << 20;
+
 /// Drain deadline for peers that stop reading during shutdown: sockets
 /// whose pending output cannot be written within this budget are closed
 /// with the output dropped (in-flight inference completions are always
@@ -234,8 +241,8 @@ Status NetServer::Start() {
   if (options_.shards == 0) {
     return Status::InvalidArgument("shards must be positive");
   }
-  if (options_.max_line_bytes == 0 || options_.max_write_buffer_bytes == 0) {
-    return Status::InvalidArgument("buffer caps must be positive");
+  if (options_.max_line_bytes == 0) {
+    return Status::InvalidArgument("max_line_bytes must be positive");
   }
   // Without an adopted fd pair the listener is all there is to serve, so
   // an empty address is rejected like any other malformed one.
@@ -260,7 +267,7 @@ Status NetServer::Start() {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
 
-    auto listener = listening ? OpenReusePortListener(address, options_.backlog)
+    auto listener = listening ? OpenReusePortListener(address, kListenBacklog)
                               : StatusOr<int>(-1);
     if (!listener.ok()) {
       cleanup();
@@ -463,13 +470,6 @@ void NetServer::ProcessLine(
       EnqueueReady(conn, status.ok()
                              ? serve::FormatOkResponse(request.id)
                              : serve::FormatErrorResponse(request.id, status));
-      break;
-    }
-    case serve::WireRequest::Op::kStats: {
-      Slot slot;
-      slot.kind = Slot::Kind::kStats;
-      slot.id = request.id;
-      conn.slots.push_back(std::move(slot));
       break;
     }
     case serve::WireRequest::Op::kOps: {
@@ -699,16 +699,13 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
   while (!conn.slots.empty()) {
     Slot& front = conn.slots.front();
     if (front.kind == Slot::Kind::kPending) break;
-    if (front.kind != Slot::Kind::kReady) {
+    if (front.kind == Slot::Kind::kOps) {
       // Formatted only now, when every earlier reply has left the
       // queue; the replies released just ahead of it are recorded
       // first, so the snapshot counts every one of them.
       RecordFlushed(shard);
-      front.line =
-          front.kind == Slot::Kind::kStats
-              ? serve::FormatStatsResponse(front.id, *server_)
-              : serve::FormatOpsResponse(front.id, front.view, *server_,
-                                         {ShedderJson(), flight_.DumpJson()});
+      front.line = serve::FormatOpsResponse(
+          front.id, front.view, *server_, {ShedderJson(), flight_.DumpJson()});
     }
     if (front.meta.traced) shard.flush_scratch.push_back(front.meta);
     conn.wbuf += front.line;
@@ -746,9 +743,9 @@ void NetServer::FlushConn(Shard& shard, Conn& conn) {
   // Backpressure: a peer that stops reading its replies stops being
   // read. Resume at half the cap so the edge does not chatter.
   const size_t backlog = conn.wbuf.size() - conn.woff;
-  if (!conn.paused && backlog > options_.max_write_buffer_bytes) {
+  if (!conn.paused && backlog > kMaxWriteBufferBytes) {
     conn.paused = true;
-  } else if (conn.paused && backlog < options_.max_write_buffer_bytes / 2) {
+  } else if (conn.paused && backlog < kMaxWriteBufferBytes / 2) {
     conn.paused = false;
   }
 

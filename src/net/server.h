@@ -37,11 +37,6 @@ struct NetServerOptions {
   /// A connection whose current line exceeds this many bytes is sent
   /// one error reply and closed (protocol abuse / runaway input).
   size_t max_line_bytes = 1 << 20;
-  /// Backpressure: stop reading from a connection whose pending output
-  /// exceeds this many bytes; resume below half of it.
-  size_t max_write_buffer_bytes = 4u << 20;
-  /// listen(2) backlog per shard socket.
-  int backlog = 1024;
   /// Hysteresis/eval tuning for the shedder; slo_us is derived from
   /// slo_ms by Start().
   ShedderOptions shedder;
@@ -165,9 +160,8 @@ class NetServer {
     enum class Kind {
       kPending,  ///< Select in flight; `line` arrives via completion.
       kReady,    ///< `line` is final.
-      kStats,    ///< Formatted lazily when it reaches the flush front,
-                 ///< so the snapshot covers every earlier reply.
-      kOps,      ///< Telemetry reply; formatted lazily like kStats.
+      kOps,      ///< Telemetry reply, formatted lazily when it reaches
+                 ///< the flush front, so it covers every earlier reply.
     };
     Kind kind = Kind::kReady;
     int64_t id = -1;

@@ -60,41 +60,60 @@ Status WriteTensors(const std::vector<const Tensor*>& tensors,
 }
 
 StatusOr<std::vector<Tensor>> ReadTensors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open for reading: " + path);
-  auto read_u32 = [&](uint32_t* v) {
-    in.read(reinterpret_cast<char*>(v), sizeof(*v));
-    return static_cast<bool>(in);
-  };
-  auto read_u64 = [&](uint64_t* v) {
-    in.read(reinterpret_cast<char*>(v), sizeof(*v));
+  const std::streamoff length = in.tellg();
+  if (length < 0 || !in.seekg(0)) {
+    return Status::IoError("cannot size " + path);
+  }
+  // Every count and shape the header claims is checked against the bytes
+  // left unread before anything is allocated for it, so a corrupt header
+  // is an error, not a huge allocation.
+  uint64_t remaining = static_cast<uint64_t>(length);
+  auto read = [&](void* v, uint64_t n) {
+    if (n > remaining) return false;
+    in.read(static_cast<char*>(v), static_cast<std::streamsize>(n));
+    remaining -= n;
     return static_cast<bool>(in);
   };
   uint32_t magic = 0;
-  if (!read_u32(&magic) || magic != kMagic) {
+  if (!read(&magic, sizeof(magic)) || magic != kMagic) {
     return Status::IoError("bad magic in " + path);
   }
   uint64_t count = 0;
-  if (!read_u64(&count)) return Status::IoError("truncated header in " + path);
+  if (!read(&count, sizeof(count))) {
+    return Status::IoError("truncated header in " + path);
+  }
+  // A tensor takes at least its rank and one dimension.
+  if (count > remaining / (sizeof(uint32_t) + sizeof(uint64_t))) {
+    return Status::IoError("tensor count exceeds the file in " + path);
+  }
   std::vector<Tensor> tensors;
   tensors.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t rank = 0;
-    if (!read_u32(&rank) || rank == 0 || rank > 4) {
+    if (!read(&rank, sizeof(rank)) || rank == 0 || rank > 4) {
       return Status::IoError("bad tensor rank in " + path);
     }
     std::vector<size_t> shape(rank);
     size_t total = 1;
     for (uint32_t d = 0; d < rank; ++d) {
       uint64_t dim = 0;
-      if (!read_u64(&dim)) return Status::IoError("truncated shape in " + path);
+      if (!read(&dim, sizeof(dim))) {
+        return Status::IoError("truncated shape in " + path);
+      }
       shape[d] = static_cast<size_t>(dim);
-      total *= shape[d];
+      if (__builtin_mul_overflow(total, shape[d], &total)) {
+        return Status::IoError("tensor shape overflows in " + path);
+      }
+    }
+    if (total > remaining / sizeof(float)) {
+      return Status::IoError("truncated tensor payload in " + path);
     }
     std::vector<float> data(total);
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(total * sizeof(float)));
-    if (!in) return Status::IoError("truncated tensor payload in " + path);
+    if (!read(data.data(), total * sizeof(float))) {
+      return Status::IoError("truncated tensor payload in " + path);
+    }
     tensors.emplace_back(std::move(shape), std::move(data));
   }
   return tensors;

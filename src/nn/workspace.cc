@@ -76,6 +76,9 @@ ThreadCache* Cache() {
 
 float* Workspace::Acquire(size_t n, size_t* capacity) {
   KDSEL_CHECK(n > 0);
+  // Beyond the largest bucket, the bucket index would run off the
+  // cache's array (and `cap` below would overflow).
+  KDSEL_CHECK(n <= kMinCapacity << (kNumBuckets - 1));
   size_t cap = kMinCapacity;
   while (cap < n) cap <<= 1;
   *capacity = cap;

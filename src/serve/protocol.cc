@@ -316,7 +316,9 @@ StatusOr<WireRequest> ParseRequestLineStrict(const std::string& line,
   } else if (op == "reload") {
     request.op = WireRequest::Op::kReload;
   } else if (op == "stats") {
-    request.op = WireRequest::Op::kStats;
+    // The stats reply is the "ops" snapshot; a "view" here is ignored.
+    request.op = WireRequest::Op::kOps;
+    request.view = "snapshot";
   } else if (op == "ops") {
     request.op = WireRequest::Op::kOps;
   } else if (op == "quit") {
@@ -332,7 +334,7 @@ StatusOr<WireRequest> ParseRequestLineStrict(const std::string& line,
   // rejected: tracing must never turn a valid request into an error.
   request.trace = SanitizeTraceId(doc.GetString("trace", ""));
 
-  if (request.op == WireRequest::Op::kOps) {
+  if (op == "ops") {
     request.view = doc.GetString("view", "snapshot");
     if (request.view != "snapshot" && request.view != "flight" &&
         request.view != "prometheus") {
@@ -456,13 +458,6 @@ std::string FormatListResponse(int64_t id, SelectorRegistry& registry) {
   reply.Set("resident", names);
   reply.Set("on_disk", disk);
   return reply.Dump();
-}
-
-std::string FormatStatsResponse(int64_t id, const InferenceServer& server) {
-  // SnapshotJson() is already valid JSON text, spliced verbatim.
-  return "{\"id\":" + std::to_string(id) + ",\"ok\":true,\"stats\":" +
-         server.stats().ToJsonString() + ",\"metrics\":" +
-         obs::MetricsRegistry::Global().SnapshotJson() + "}";
 }
 
 std::string FormatOpsResponse(int64_t id, const std::string& view,

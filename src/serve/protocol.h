@@ -16,7 +16,7 @@ namespace kdsel::serve {
 ///    "trace":"req-001"}
 ///   {"op":"list","id":2}            -- resident + on-disk selector names
 ///   {"op":"reload","id":3,"selector":"mysel"}  -- omit selector: reload all
-///   {"op":"stats","id":4}           -- request-level metrics snapshot
+///   {"op":"stats","id":4}           -- same as the "snapshot" ops view
 ///   {"op":"ops","id":5,"view":"snapshot"}  -- live telemetry (see below)
 ///   {"op":"quit"}                   -- drain and exit (EOF works too)
 ///
@@ -35,7 +35,7 @@ namespace kdsel::serve {
 ///   "flight"             -- flight-recorder dump (recent + slowest)
 ///   "prometheus"         -- MetricsRegistry rendered as Prometheus text
 struct WireRequest {
-  enum class Op { kSelect, kList, kReload, kStats, kOps, kQuit };
+  enum class Op { kSelect, kList, kReload, kOps, kQuit };
 
   Op op = Op::kSelect;
   int64_t id = -1;
@@ -105,7 +105,6 @@ std::string FormatOkResponse(int64_t id);
 
 /// Control-op replies.
 std::string FormatListResponse(int64_t id, SelectorRegistry& registry);
-std::string FormatStatsResponse(int64_t id, const InferenceServer& server);
 
 /// Transport-owned telemetry spliced into an "ops" reply as pre-rendered
 /// JSON text. Keeping these opaque lets serve stay below net in the

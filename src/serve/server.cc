@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <map>
 #include <utility>
 
 #include "core/selection.h"
@@ -187,52 +186,22 @@ void InferenceServer::ProcessBatch(
   window_options.length = selector.input_length();
   window_options.stride = window_options.length;
 
+  std::vector<const ts::TimeSeries*> series;
+  series.reserve(batch.items.size());
+  for (const Pending& item : batch.items) {
+    series.push_back(&item.request.series);
+  }
   const Clock::time_point select_begin = Clock::now();
-  // Request coalescing: concurrent clients often re-score the same hot
-  // series, so identical windows inside one micro-batch go through the
-  // forward pass once. `row_of[i]` maps the i-th extracted window to its
-  // unique representative.
-  std::vector<std::vector<float>> unique_rows;
-  std::map<std::vector<float>, size_t> row_index;
-  std::vector<size_t> row_of;
-  std::vector<size_t> offsets(batch.items.size() + 1, 0);
-  std::vector<Status> item_status(batch.items.size(), Status::OK());
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    auto windows =
-        ts::ExtractWindows(batch.items[i].request.series, i, window_options);
-    if (!windows.ok()) {
-      item_status[i] = windows.status();
-    } else if (windows->empty()) {
-      item_status[i] = Status::InvalidArgument("series produced no windows");
-    } else {
-      for (auto& w : *windows) {
-        auto [it, inserted] =
-            row_index.try_emplace(std::move(w.values), unique_rows.size());
-        if (inserted) unique_rows.push_back(it->first);
-        row_of.push_back(it->second);
-      }
-    }
-    offsets[i + 1] = row_of.size();
+  // The micro-batched selection: one selector forward over the windows
+  // of every request in the batch, then one vote per request.
+  auto selections = core::SelectSeriesModels(selector, series, window_options,
+                                             num_classes);
+  const double select_us = ToUs(Clock::now() - select_begin);
+  size_t rows = 0;
+  for (const auto& selection : selections) {
+    if (selection.ok()) rows += selection->num_windows;
   }
-
-  // The micro-batched forward pass: one Predict over the distinct
-  // windows of every request in the batch. Inference is row-independent
-  // (BatchNorm uses running statistics) and deterministic, so the
-  // scattered per-request slices are byte-identical to per-request
-  // Predict calls.
-  std::vector<int> predictions;
-  if (!unique_rows.empty()) {
-    auto predicted = selector.Predict(unique_rows);
-    if (!predicted.ok()) {
-      FailBatch(batch, predicted.status());
-      return;
-    }
-    predictions.reserve(row_of.size());
-    for (const size_t u : row_of) predictions.push_back((*predicted)[u]);
-  }
-  const Clock::time_point select_end = Clock::now();
-  const double select_us = ToUs(select_end - select_begin);
-  stats_.RecordRows(row_of.size(), unique_rows.size());
+  stats_.RecordRows(rows);
   const bool int8 = selector.IsInt8();
   stats_.RecordVariantRequests(int8, batch.items.size());
 
@@ -241,15 +210,7 @@ void InferenceServer::ProcessBatch(
     const bool detect = item.request.run_detection;
     auto& endpoint = stats_.endpoint(detect ? ServerStats::Endpoint::kDetect
                                             : ServerStats::Endpoint::kSelect);
-    if (!item_status[i].ok()) {
-      endpoint.failed.fetch_add(1, std::memory_order_relaxed);
-      item.done(item_status[i]);
-      continue;
-    }
-    std::vector<int> window_predictions(
-        predictions.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-        predictions.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-    auto selection = core::VoteSeriesSelection(window_predictions, num_classes);
+    auto& selection = selections[i];
     if (!selection.ok()) {
       endpoint.failed.fetch_add(1, std::memory_order_relaxed);
       item.done(selection.status());

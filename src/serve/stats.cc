@@ -78,10 +78,7 @@ Json ServerStats::ToJson() const {
   batching.Set("mean_batch_size", Json::Number(MeanBatchSize()));
   batching.Set("max_batch_size",
                Json::Number(static_cast<double>(max_batch_seen_.load())));
-  batching.Set("rows_total",
-               Json::Number(static_cast<double>(rows_total_.load())));
-  batching.Set("rows_unique",
-               Json::Number(static_cast<double>(rows_unique_.load())));
+  batching.Set("rows_total", Json::Number(static_cast<double>(rows_total())));
   out.Set("batching", batching);
   Json variants = Json::Object();
   variants.Set("fp32",

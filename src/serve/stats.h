@@ -30,7 +30,7 @@ struct EndpointStats {
   std::atomic<uint64_t> completed{0};
   std::atomic<uint64_t> failed{0};
   LatencyHistogram queue_wait;  ///< Submit -> a worker took the request.
-  LatencyHistogram selection;   ///< Windowing + batched selector forward.
+  LatencyHistogram selection;   ///< Windowing + batched forward + vote.
   LatencyHistogram detection;   ///< Selected-detector scoring (+metric).
   LatencyHistogram total;       ///< Submit -> response ready.
 
@@ -58,11 +58,10 @@ class ServerStats {
   /// Records one batch of `size` requests taken by a worker.
   void RecordBatch(size_t size);
 
-  /// Records window-row coalescing for one served batch: `total` rows
-  /// extracted, `unique` rows actually run through the forward pass.
-  void RecordRows(size_t total, size_t unique) {
-    rows_total_.fetch_add(total, std::memory_order_relaxed);
-    rows_unique_.fetch_add(unique, std::memory_order_relaxed);
+  /// Records the `rows` windows one served batch ran through the
+  /// selector forward.
+  void RecordRows(size_t rows) {
+    rows_.fetch_add(rows, std::memory_order_relaxed);
   }
 
   /// Records `n` requests served by the fp32 or int8 selector variant
@@ -88,8 +87,10 @@ class ServerStats {
   uint64_t completed() const;
   uint64_t failed() const;
   uint64_t batches() const { return batches_.load(); }
-  uint64_t rows_total() const { return rows_total_.load(); }
-  uint64_t rows_unique() const { return rows_unique_.load(); }
+  uint64_t rows_total() const { return rows_.load(); }
+  /// Every window runs through the forward once, so this is rows_total();
+  /// perfbench reads it for its distinct-traffic check.
+  uint64_t rows_unique() const { return rows_total(); }
 
   /// Mean number of requests per batch (0 when no batches yet).
   double MeanBatchSize() const;
@@ -111,8 +112,7 @@ class ServerStats {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> batched_requests_{0};
   std::atomic<uint64_t> max_batch_seen_{0};
-  std::atomic<uint64_t> rows_total_{0};
-  std::atomic<uint64_t> rows_unique_{0};
+  std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> fp32_requests_{0};
   std::atomic<uint64_t> int8_requests_{0};
   std::array<EndpointStats, kNumEndpoints> endpoints_;

@@ -346,6 +346,54 @@ TEST(SelectionTest, MajorityVote) {
   EXPECT_EQ(total_votes, 6);
 }
 
+// One batched call over series of 6 windows, 1 padded window, none and
+// 3 windows: each slot is what the one-series call gives for its series.
+TEST(SelectionTest, BatchedMatchesPerSeries) {
+  SelectorTrainingData train = MakeTask(15, 16);
+  TrainerOptions opts = FastOptions();
+  auto selector = TrainSelector(train, opts, nullptr);
+  ASSERT_TRUE(selector.ok());
+
+  auto wave = [](size_t n, double freq) {
+    std::vector<float> values(n);
+    for (size_t t = 0; t < n; ++t) {
+      values[t] = static_cast<float>(std::sin(freq * static_cast<double>(t)));
+    }
+    return values;
+  };
+  const std::vector<ts::TimeSeries> series = {
+      ts::TimeSeries("fast", wave(32 * 6, 1.4)),
+      ts::TimeSeries("short", wave(20, 0.2)),
+      ts::TimeSeries("empty", std::vector<float>{}),
+      ts::TimeSeries("slow", wave(32 * 3, 0.2))};
+  const std::vector<const ts::TimeSeries*> batch = {&series[0], &series[1],
+                                                    &series[2], &series[3]};
+  ts::WindowOptions wo;
+  wo.length = 32;
+  wo.stride = 32;
+  auto selections = SelectSeriesModels(**selector, batch, wo, 3);
+  ASSERT_EQ(selections.size(), 4u);
+  const size_t expected_windows[] = {6, 1, 0, 3};
+  for (size_t i = 0; i < series.size(); ++i) {
+    if (i == 2) continue;
+    auto alone = SelectSeriesModel(**selector, series[i], wo, 3);
+    ASSERT_TRUE(alone.ok()) << i << ": " << alone.status();
+    ASSERT_TRUE(selections[i].ok()) << i << ": " << selections[i].status();
+    EXPECT_EQ(selections[i]->model, alone->model) << i;
+    EXPECT_EQ(selections[i]->votes, alone->votes) << i;
+    EXPECT_EQ(selections[i]->num_windows, alone->num_windows) << i;
+    EXPECT_EQ(selections[i]->num_windows, expected_windows[i]) << i;
+  }
+  ASSERT_FALSE(selections[2].ok());
+  EXPECT_EQ(selections[2].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(selections[2].status().message(), "series produced no windows");
+
+  for (const auto& selection : SelectSeriesModels(**selector, batch, wo, 0)) {
+    ASSERT_FALSE(selection.ok());
+    EXPECT_EQ(selection.status().message(), "num_classes must be positive");
+  }
+}
+
 TEST(SelectionTest, RejectsZeroClasses) {
   SelectorTrainingData train = MakeTask(2, 17);
   TrainerOptions opts = FastOptions();

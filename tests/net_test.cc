@@ -410,6 +410,10 @@ TEST(NetServerTest, StatsReportShedCounterOverTheWire) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->GetNumber("shed", -1), 0);
   EXPECT_GE(stats->GetNumber("completed", -1), 1);
+  // The stats reply is the ops snapshot: it carries the shedder too.
+  const serve::Json* shedder = reply->Find("shedder");
+  ASSERT_NE(shedder, nullptr);
+  EXPECT_TRUE(shedder->is_object());
 }
 
 TEST(NetServerTest, QuitDrainsRepliesThenCloses) {

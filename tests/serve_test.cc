@@ -545,10 +545,8 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
   }
   server.Stop();
   EXPECT_DOUBLE_EQ(server.stats().MeanBatchSize(), 4.0);
-  // Four identical requests of four distinct windows each: coalescing
-  // runs the forward over the 4 distinct windows, not all 16.
+  // Four requests of four windows each, all in one forward.
   EXPECT_EQ(server.stats().rows_total(), 16u);
-  EXPECT_EQ(server.stats().rows_unique(), 4u);
 
   // Stats JSON snapshot is parseable and carries the counters.
   auto stats_json = Json::Parse(server.stats().ToJsonString());
@@ -559,6 +557,53 @@ TEST(InferenceServerTest, MicroBatchesGroupConcurrentRequests) {
   const Json* select_ep = endpoints->Find("select");
   ASSERT_NE(select_ep, nullptr);
   EXPECT_EQ(select_ep->GetNumber("completed", -1), 4.0);
+}
+
+// A series that yields no windows fails its own request only: the rest
+// of its micro-batch is selected in the same forward, as if alone.
+TEST(InferenceServerTest, BadSeriesFailsAloneInItsBatch) {
+  SelectorRegistry registry(core::SelectorManager("/tmp/kdsel_srv_none"));
+  auto trained = TrainTinySelector();
+  auto reference_selector = trained->Clone();
+  ASSERT_TRUE(reference_selector.ok());
+  ASSERT_TRUE(registry.Register("tiny", std::move(trained)).ok());
+
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_batch = 4;
+  InferenceServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto series = MakeLabeledSeries(2, 33);
+  std::vector<SelectRequest> requests(3, SineSelectRequest("tiny"));
+  requests[0].series = series[0];
+  requests[1].series = ts::TimeSeries("empty", std::vector<float>{});
+  requests[2].series = series[1];
+  auto futures = SubmitTogether(server, requests);
+
+  const size_t num_classes =
+      tsad::BuildDefaultModelSet(opts.detector_seed).size();
+  ts::WindowOptions wo;
+  wo.length = (*reference_selector)->input_length();
+  wo.stride = wo.length;
+  for (const size_t i : {size_t{0}, size_t{2}}) {
+    auto response = futures[i].get();
+    ASSERT_TRUE(response.ok()) << i << ": " << response.status();
+    EXPECT_EQ(response->timing.batch_size, 3u) << i;
+    auto expected = core::SelectSeriesModel(
+        **reference_selector, requests[i].series, wo, num_classes);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(response->result.selected_model, expected->model) << i;
+    EXPECT_EQ(response->result.votes, expected->votes) << i;
+    EXPECT_EQ(response->num_windows, expected->num_windows) << i;
+  }
+  auto bad = futures[1].get();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "series produced no windows");
+  server.Stop();
+  EXPECT_EQ(server.stats().failed(), 1u);
+  EXPECT_EQ(server.stats().completed(), 2u);
 }
 
 TEST(ProtocolTest, ParseRequestLineValidatesInput) {
@@ -572,6 +617,18 @@ TEST(ProtocolTest, ParseRequestLineValidatesInput) {
   EXPECT_TRUE(ok->want_scores);
   EXPECT_EQ(ok->series.length(), 3u);
   EXPECT_TRUE(ok->series.has_labels());
+
+  // "stats" is the "ops" snapshot; a "view" on a stats line is ignored.
+  for (const std::string line :
+       {R"({"op":"stats","id":4})", R"({"op":"stats","id":4,"view":"flight"})",
+        R"({"op":"stats","id":4,"view":"nope"})"}) {
+    auto stats = ParseRequestLine(line);
+    ASSERT_TRUE(stats.ok()) << line << ": " << stats.status();
+    EXPECT_EQ(stats->op, WireRequest::Op::kOps) << line;
+    EXPECT_EQ(stats->view, "snapshot") << line;
+    EXPECT_EQ(stats->id, 4) << line;
+  }
+  EXPECT_FALSE(ParseRequestLine(R"({"op":"ops","view":"nope"})").ok());
 
   EXPECT_FALSE(ParseRequestLine("not json").ok());
   EXPECT_FALSE(ParseRequestLine(R"({"op":"explode"})").ok());
